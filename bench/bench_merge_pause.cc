@@ -6,8 +6,9 @@
 //   blocking    — the single-threaded HybridIndex behind a shared_mutex;
 //                 a merge holds the write lock for its full duration, so
 //                 reader stalls grow with static size.
-//   concurrent  — ConcurrentHybridIndex: merge freezes the dynamic stage
-//                 under the lock in O(1), drains and rebuilds off-lock, and
+//   concurrent  — OlcConcurrentHybridBTree: merge freezes the dynamic stage
+//                 by an O(1) snapshot swap, waits out writers still pinned
+//                 to it, drains and rebuilds off the request path, and
 //                 publishes by epoch-swapped pointer, so reader/writer p99
 //                 must stay bounded as the static stage grows (the headline
 //                 claim this benchmark exists to check).
@@ -26,8 +27,8 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/hybrid.h"
+#include "hybrid/olc_hybrid.h"
 #include "obs/stall.h"
 #include "ycsb/driver.h"
 
@@ -175,7 +176,7 @@ void RunBatchedShardedYcsb() {
     for (size_t read_batch : {size_t{1}, size_t{16}, size_t{64}}) {
       ConcurrentHybridConfig config;
       config.min_merge_entries = 4096;
-      ycsb::ShardedIndex<ConcurrentHybridBTree<uint64_t>, uint64_t> index(
+      ycsb::ShardedIndex<OlcConcurrentHybridBTree<uint64_t>, uint64_t> index(
           /*num_shards=*/2, config);
       for (uint64_t i = 0; i < num_keys; ++i) index.Insert(i, i + 1);
       index.WaitForMergeIdle();
@@ -198,14 +199,14 @@ void RunBatchedShardedYcsb() {
 void RunShardedYcsb() {
   bench::Title("Sharded YCSB-A on concurrent hybrid B+tree");
   bench::Note(
-      "hash-sharded ConcurrentHybridBTree; background merges enabled; "
+      "hash-sharded OlcConcurrentHybridBTree; background merges enabled; "
       "latencies split by merge-in-flight at op start");
   size_t num_keys = 200000 * bench::Scale();
   size_t ops_per_thread = 100000 * bench::Scale();
   for (size_t threads : {1, 2}) {
     ConcurrentHybridConfig config;
     config.min_merge_entries = 4096;
-    ycsb::ShardedIndex<ConcurrentHybridBTree<uint64_t>, uint64_t> index(
+    ycsb::ShardedIndex<OlcConcurrentHybridBTree<uint64_t>, uint64_t> index(
         /*num_shards=*/2, config);
     for (uint64_t i = 0; i < num_keys; ++i) index.Insert(i, i + 1);
     index.WaitForMergeIdle();
@@ -241,12 +242,14 @@ int main(int argc, char** argv) {
   met::bench::Title("Merge pause: reader/writer stalls during a merge");
   met::bench::Note(
       "blocking = HybridIndex behind a shared_mutex (merge holds the write "
-      "lock); concurrent = epoch-swapped background merge. The claim under "
-      "test: concurrent read/write p99 stays bounded as static size grows");
+      "lock); concurrent = OLC hybrid, epoch-swapped background merge. The "
+      "claim under test: concurrent read/write p99 stays bounded as static "
+      "size grows");
   for (size_t num_keys : {100000, 300000, 900000}) {
     size_t n = num_keys * met::bench::Scale();
     met::RunPauseRow<met::BlockingHybrid>("blocking", n);
-    met::RunPauseRow<met::ConcurrentHybridBTree<uint64_t>>("concurrent", n);
+    met::RunPauseRow<met::OlcConcurrentHybridBTree<uint64_t>>("concurrent",
+                                                              n);
   }
   met::RunShardedYcsb();
   met::RunBatchedShardedYcsb();

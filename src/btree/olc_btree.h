@@ -10,9 +10,7 @@
 //   - Nodes are never freed or merged while the tree is live: underflowing
 //     leaves simply stay (the hybrid index drains the dynamic stage into the
 //     static stage long before slack matters), so no epoch reclamation is
-//     needed here — a traversal can never reach freed memory. The epoch
-//     token on the concurrent API is accepted for interface uniformity with
-//     OlcArt, which does retire nodes.
+//     needed here — a traversal can never reach freed memory.
 //   - Leaves are chained (B-link style next pointers) for ordered scans;
 //     the chain only ever gains nodes, in place.
 //   - All optimistically-read payload fields (counts, keys, children,
@@ -59,21 +57,6 @@ class OlcBTree {
 
   OlcBTree(const OlcBTree&) = delete;
   OlcBTree& operator=(const OlcBTree&) = delete;
-
-  // --- concurrent mutation surface (met::ConcurrentPointIndex) ---
-  // The token witnesses an epoch pin; OlcBTree itself never reclaims nodes
-  // (see header comment), so these simply forward to the native ops.
-
-  MutateOutcome Insert(const Key& key, Value value, EpochToken) {
-    return InsertUnique(key, value);
-  }
-  MutateOutcome Update(const Key& key, Value value, EpochToken) {
-    return UpdateIfPresent(key, value);
-  }
-  MutateOutcome Remove(const Key& key, EpochToken) { return Remove(key); }
-  bool Lookup(const Key& key, Value* value, EpochToken) const {
-    return Lookup(key, value);
-  }
 
   // --- native outcome-returning operations ---
 
@@ -288,11 +271,6 @@ class OlcBTree {
   bool Erase(const Key& key) {
     return LoopUntilSettled([&] { return Remove(key); }) ==
            MutateOutcome::kRemoved;
-  }
-
-  [[deprecated("use Lookup()")]] bool Find(const Key& key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
   }
 
   // --- stats / maintenance ---

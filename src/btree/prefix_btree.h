@@ -83,11 +83,6 @@ class PrefixBTree {
 
   size_t size() const { return size_; }
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;

@@ -330,75 +330,54 @@ class HybridDiffAdapter {
   mutable Hybrid index_;  // stage accessors are non-const
 };
 
-/// Same harness API for a ConcurrentHybridIndex instantiation, driven
-/// single-threaded so results stay deterministic: background merges may run
-/// between ops, but Validate() quiesces them (WaitForMergeIdle) before
-/// running the index's own snapshot/epoch validator plus the static stage's
-/// structural validator. Uses dependent names only, like HybridDiffAdapter.
-template <typename Concurrent>
-class ConcurrentHybridDiffAdapter {
- public:
-  template <typename Config>
-  explicit ConcurrentHybridDiffAdapter(const Config& cfg) : index_(cfg) {}
-
-  bool Insert(const std::string& k, uint64_t v) { return index_.Insert(k, v); }
-  void InsertOrAssign(const std::string& k, uint64_t v) {
-    if (!index_.Insert(k, v)) index_.Update(k, v);
-  }
-  bool Lookup(const std::string& k, uint64_t* v) const {
-    return index_.Lookup(k, v);
-  }
-  bool Update(const std::string& k, uint64_t v) { return index_.Update(k, v); }
-  bool Erase(const std::string& k) { return index_.Erase(k); }
-  size_t Scan(const std::string& k, size_t n,
-              std::vector<uint64_t>* out) const {
-    return index_.Scan(k, n, out);
-  }
-  size_t size() const { return index_.size(); }
-
-  bool Validate(std::ostream& os) const {
-    index_.WaitForMergeIdle();
-    bool ok = index_.Validate(os);
-    auto stat = index_.StaticStageSnapshot();
-    if (stat != nullptr && !ValidateIfAvailable(*stat, os)) ok = false;
-    return ok;
-  }
-
- private:
-  Concurrent index_;
-};
-
-/// Harness API over an outcome-native concurrent index (the OLC hybrid):
-/// mutations return MutateOutcome, which the adapter maps back onto the
-/// harness's bool idiom. Driven single-threaded there is no lock contention,
-/// so a kRetry (restart budget exhausted) can only mean a protocol bug —
-/// the adapter surfaces it as a divergence instead of masking it with a
-/// retry loop. Validate() quiesces background merges first, then runs the
-/// snapshot/epoch validator plus the static stage's structural validator.
+/// Harness API over the outcome-native concurrent hybrid, whose OLC dynamic
+/// stage takes trivially copyable keys: each string key is mapped to its
+/// rank in the sorted key universe (an order-preserving map, so scans
+/// compare against the string-keyed oracle unchanged). Mutations return
+/// MutateOutcome, which the adapter maps back onto the harness's bool
+/// idiom. Driven single-threaded there is no lock contention, so a kRetry
+/// (restart budget exhausted) can only mean a protocol bug — the adapter
+/// surfaces it as a divergence instead of masking it with a retry loop.
+/// In non-unique mode (the served configuration) the index's Insert is an
+/// upsert: it serves the harness's InsertOrAssign directly, and the
+/// harness's insert-if-absent probes first. Validate() quiesces background
+/// merges first, then runs the index's validator plus the static stage's
+/// structural validator.
 template <typename Concurrent>
 class OutcomeHybridDiffAdapter {
  public:
+  /// `keys` is the sorted, deduplicated universe every op key comes from
+  /// (DiffKeys); it must outlive the adapter.
   template <typename Config>
-  explicit OutcomeHybridDiffAdapter(const Config& cfg) : index_(cfg) {}
+  OutcomeHybridDiffAdapter(const Config& cfg,
+                           const std::vector<std::string>& keys)
+      : index_(cfg), unique_(cfg.unique), keys_(&keys) {}
 
   bool Insert(const std::string& k, uint64_t v) {
-    return index_.Insert(k, v) == MutateOutcome::kInserted;
+    if (!unique_ && index_.Lookup(Rank(k))) return false;
+    return index_.Insert(Rank(k), v) == MutateOutcome::kInserted;
   }
   void InsertOrAssign(const std::string& k, uint64_t v) {
-    if (index_.Update(k, v) != MutateOutcome::kUpdated) index_.Insert(k, v);
+    if (!unique_) {
+      index_.Insert(Rank(k), v);
+    } else if (index_.Update(Rank(k), v) != MutateOutcome::kUpdated) {
+      index_.Insert(Rank(k), v);
+    }
   }
   bool Lookup(const std::string& k, uint64_t* v) const {
-    return index_.Lookup(k, v);
+    return index_.Lookup(Rank(k), v);
   }
   bool Update(const std::string& k, uint64_t v) {
-    return index_.Update(k, v) == MutateOutcome::kUpdated;
+    return index_.Update(Rank(k), v) == MutateOutcome::kUpdated;
   }
   bool Erase(const std::string& k) {
-    return index_.Remove(k) == MutateOutcome::kRemoved;
+    return index_.Remove(Rank(k)) == MutateOutcome::kRemoved;
   }
+  /// Scan starts need not be in the universe (the checkpoint scans from
+  /// ""): the rank of the first universe key >= k starts at the same entry.
   size_t Scan(const std::string& k, size_t n,
               std::vector<uint64_t>* out) const {
-    return index_.Scan(k, n, out);
+    return index_.Scan(Rank(k), n, out);
   }
   size_t size() const { return index_.size(); }
 
@@ -411,7 +390,14 @@ class OutcomeHybridDiffAdapter {
   }
 
  private:
+  uint64_t Rank(const std::string& k) const {
+    return static_cast<uint64_t>(
+        std::lower_bound(keys_->begin(), keys_->end(), k) - keys_->begin());
+  }
+
   Concurrent index_;
+  bool unique_;
+  const std::vector<std::string>* keys_;
 };
 
 // ---------------------------------------------------------------------------

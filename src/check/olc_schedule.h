@@ -1,5 +1,5 @@
-// Interleaved multi-writer schedule harness for the OLC structures (OlcArt,
-// OlcBTree) and the OLC hybrid index — the concurrent counterpart of the
+// Interleaved multi-writer schedule harness for OlcBTree and the concurrent
+// hybrid index built on it — the concurrent counterpart of the
 // single-threaded differential harness in check/differential.h.
 //
 // Writers run over *disjoint* per-writer keyspaces, so even though the
@@ -9,8 +9,8 @@
 // the writer checks every MutateOutcome and every read-back value against
 // its private oracle map, operation by operation. Readers and scanners run
 // concurrently over the full keyspace to keep optimistic descents, version
-// validation and (for OlcArt) epoch reclamation under fire; their results
-// are racy by construction and only exercised, not asserted.
+// validation and (for the hybrid) epoch-pinned snapshot reads under fire;
+// their results are racy by construction and only exercised, not asserted.
 //
 // The harness goes through the unified mutation dispatchers
 // (IndexInsert/IndexUpdate/IndexRemove, common/index_api.h), so the same
@@ -21,10 +21,6 @@
 // TSan) and tools/fuzz_ops.cc (rolling seeds, nightly). Deterministic in
 // (config, key function) *per writer thread*; cross-thread interleaving is
 // whatever the scheduler produces, which is the point.
-//
-// When built with MET_CHECK=1, the including TU must also include
-// check/concurrent_hybrid_check.h if Index::Validate reaches an
-// EpochDomain (the OLC hybrid and OlcArt do).
 #ifndef MET_CHECK_OLC_SCHEDULE_H_
 #define MET_CHECK_OLC_SCHEDULE_H_
 
@@ -39,7 +35,6 @@
 #include <vector>
 
 #include "common/index_api.h"
-#include "hybrid/epoch.h"
 
 namespace met {
 namespace check {
@@ -60,26 +55,9 @@ struct OlcScheduleResult {
 
 namespace internal {
 
-/// Runs fn under an epoch pin when the structure exposes its domain
-/// (OlcArt: reclamation safety; OlcBTree and the hybrid pin internally or
-/// not at all).
-template <typename Index, typename Fn>
-decltype(auto) WithPin(Index& index, Fn&& fn) {
-  if constexpr (requires { index.epoch(); }) {
-    hybrid::EpochGuard g(index.epoch());
-    return fn();
-  } else {
-    return fn();
-  }
-}
-
 template <typename Key>
 std::string KeyRepr(const Key& k) {
-  if constexpr (std::is_convertible_v<Key, std::string>) {
-    return std::string(k);
-  } else {
-    return std::to_string(static_cast<uint64_t>(k));
-  }
+  return std::to_string(static_cast<uint64_t>(k));
 }
 
 }  // namespace internal
@@ -124,8 +102,7 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
           case 0:
           case 1:
           case 2: {  // unique insert
-            MutateOutcome o = internal::WithPin(
-                *index, [&] { return IndexInsert(*index, k, v); });
+            MutateOutcome o = IndexInsert(*index, k, v);
             bool present = oracle.count(k) != 0;
             if (o != (present ? MutateOutcome::kExists
                               : MutateOutcome::kInserted)) {
@@ -136,8 +113,7 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
             break;
           }
           case 3: {  // update-if-present
-            MutateOutcome o = internal::WithPin(
-                *index, [&] { return IndexUpdate(*index, k, v); });
+            MutateOutcome o = IndexUpdate(*index, k, v);
             auto it = oracle.find(k);
             if (it == oracle.end()) {
               if (o != MutateOutcome::kNotFound)
@@ -151,9 +127,7 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
           }
           case 4:
           case 5: {  // remove
-            MutateOutcome o = internal::WithPin(*index, [&] {
-              return IndexRemove<Index, Key, Value>(*index, k);
-            });
+            MutateOutcome o = IndexRemove<Index, Key, Value>(*index, k);
             auto it = oracle.find(k);
             if (it == oracle.end()) {
               if (o != MutateOutcome::kNotFound)
@@ -167,8 +141,7 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
           }
           default: {  // read-your-writes point lookup
             Value got = 0;
-            bool found = internal::WithPin(
-                *index, [&] { return index->Lookup(k, &got); });
+            bool found = index->Lookup(k, &got);
             auto it = oracle.find(k);
             if (found != (it != oracle.end()) ||
                 (found && got != it->second)) {
@@ -176,7 +149,7 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
               os << "writer " << t << " op " << i << " Lookup("
                  << internal::KeyRepr(k) << "): found=" << found
                  << " value=" << got << " vs oracle "
-                 << (it != oracle.end() ? internal::KeyRepr(it->second)
+                 << (it != oracle.end() ? std::to_string(it->second)
                                         : std::string("absent"));
               errors[t] = os.str();
             }
@@ -196,18 +169,12 @@ OlcScheduleResult RunOlcSchedule(Index* index, const OlcScheduleConfig& cfg,
                                         static_cast<uint64_t>(cfg.writers)),
                        static_cast<int>(rng() % static_cast<uint64_t>(
                                                     cfg.keys_per_writer)));
-        internal::WithPin(*index, [&] {
-          if (rng() % 8 == 0) {
-            vals.clear();
-            index->Scan(k, 64, &vals);
-          } else {
-            Value got = 0;
-            index->Lookup(k, &got);
-          }
-          return 0;
-        });
-        if constexpr (requires { index->epoch(); }) {
-          if (rng() % 64 == 0) index->epoch().TryReclaim();
+        if (rng() % 8 == 0) {
+          vals.clear();
+          index->Scan(k, 64, &vals);
+        } else {
+          Value got = 0;
+          index->Lookup(k, &got);
         }
       }
     });

@@ -14,9 +14,6 @@
 // (B+tree, skip list, their compact forms) take their Key type, which is
 // std::string for byte-string workloads.
 //
-// The old per-structure spellings (`Find`, LsmTree's `Get`) survive as thin
-// [[deprecated]] shims; nothing in-tree calls them.
-//
 // Concepts are parameterized on the key type a caller intends to use, e.g.
 //   static_assert(met::PointIndex<met::Art, std::string_view>);
 //   static_assert(met::RangeIndex<met::BTree<uint64_t>, uint64_t>);
@@ -72,14 +69,6 @@ constexpr const char* MutateOutcomeName(MutateOutcome o) {
   }
   return "?";
 }
-
-/// Witness that the calling thread holds an epoch pin (hybrid::EpochGuard)
-/// on the domain protecting the structure it is passed to. Concurrent
-/// structures take it on every operation whose reclamation safety depends on
-/// the pin — the token has no state; it exists so the requirement is part of
-/// the signature instead of a comment. Obtain one from EpochGuard::token().
-/// Constructing one without holding a pin is a contract violation.
-struct EpochToken {};
 
 /// Uniform result of one unified point lookup. Batch kernels fill arrays of
 /// these; the scalar convenience overloads return it by value.
@@ -187,21 +176,6 @@ concept MutablePointIndex =
       { IndexInsert(t, k, v) } -> std::same_as<MutateOutcome>;
       { IndexUpdate(t, k, v) } -> std::same_as<MutateOutcome>;
       { IndexRemove<T, K, V>(t, k) } -> std::same_as<MutateOutcome>;
-    };
-
-/// Internally-synchronized structures safe for concurrent mutation: the
-/// token-bearing overloads make the epoch-pin requirement part of the
-/// signature (see EpochToken). Mutations may report kRetry when the restart
-/// budget is exhausted under contention; nothing changed in that case and
-/// the caller decides whether to retry, shed, or fall back.
-template <typename T, typename K, typename V = uint64_t>
-concept ConcurrentPointIndex =
-    requires(T& t, const T& ct, const K& k, const V& v, V* vp,
-             EpochToken tok) {
-      { ct.Lookup(k, vp, tok) } -> std::convertible_to<bool>;
-      { t.Insert(k, v, tok) } -> std::same_as<MutateOutcome>;
-      { t.Update(k, v, tok) } -> std::same_as<MutateOutcome>;
-      { t.Remove(k, tok) } -> std::same_as<MutateOutcome>;
     };
 
 /// Approximate membership filter (Bloom, SuRF): false means certainly

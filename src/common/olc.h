@@ -10,10 +10,11 @@
 //
 // Readers never block: they read the version word, run, and re-validate.
 // A reader that observes the lock bit (or a version change) *restarts* its
-// whole operation from the root instead of spinning on the node — spinning
-// would wedge the met::race cooperative scheduler (a descheduled lock
-// holder never progresses while the spinner burns the step budget), and a
-// root restart is at most a few cache misses on trees this size. Writers
+// whole operation from the root instead of spinning on the node; a root
+// restart is at most a few cache misses on trees this size. Under the
+// met::race cooperative scheduler, observing the lock bit first parks the
+// reader (race::SpinWait) until another thread has stepped, so an
+// unbudgeted restart loop cannot starve a descheduled lock holder. Writers
 // upgrade their read "lock" with a single CAS (version -> version+LOCKED),
 // mutate, and release with fetch_add, which simultaneously clears the lock
 // bit and advances the version (the +2 carries out of bit 1).
@@ -79,6 +80,7 @@ class VersionLock {
   uint64_t ReadLockOrRestart(bool& restart) const {
     uint64_t v = word_.load(std::memory_order_seq_cst);
     if (IsLocked(v) || IsObsolete(v)) restart = true;
+    if (IsLocked(v)) race::SpinWait("olc.locked");  // holder must step first
     return v;
   }
 

@@ -48,11 +48,6 @@ class Hot {
   /// Unified point lookup (met::ReadOnlyPointIndex surface).
   bool Lookup(std::string_view key, Value* value = nullptr) const;
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
 
   size_t size() const { return size_; }
   size_t MemoryBytes() const { return allocated_bytes_; }

@@ -31,11 +31,11 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "common/index_api.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "guard/clock.h"
 #include "guard/metrics.h"
+#include "race/hook.h"
 
 namespace met {
 namespace hybrid {
@@ -73,7 +73,9 @@ class EpochDomain {
                 expected, e, std::memory_order_seq_cst))
           return i;
       }
-      std::this_thread::yield();  // > kSlots concurrent readers: rare, wait
+      // > kSlots concurrent readers: rare, wait for a slot to free.
+      race::SpinWait("epoch.pin_full");
+      std::this_thread::yield();
     }
   }
 
@@ -103,7 +105,10 @@ class EpochDomain {
   /// (late writers that loaded the pre-freeze snapshot have drained).
   /// The caller must not itself hold a pin taken at an epoch <= tag.
   void WaitQuiescentSince(uint64_t tag) const {
-    while (MinPinnedEpoch() <= tag) std::this_thread::yield();
+    while (MinPinnedEpoch() <= tag) {
+      race::SpinWait("epoch.wait_quiescent");
+      std::this_thread::yield();
+    }
   }
 
   /// Frees every retired object no pinned reader can still observe
@@ -164,7 +169,7 @@ class EpochDomain {
   }
 
   /// Verifies the domain's state-machine invariants; no-op unless
-  /// MET_CHECK_ENABLED (see check/concurrent_hybrid_check.h).
+  /// MET_CHECK_ENABLED (impl in check/epoch_check.cc).
   bool Validate(std::ostream& os) const {
 #if MET_CHECK_ENABLED
     return ValidateImpl(os);
@@ -174,10 +179,9 @@ class EpochDomain {
 #endif
   }
 
-  /// Quiescent-only (reads retired_ without mu_ where noted in the check
-  /// header), so the static analysis is opted out on the definition.
-  bool ValidateImpl(std::ostream& os) const
-      MET_NO_THREAD_SAFETY_ANALYSIS;  // check/concurrent_hybrid_check.h
+  /// The checks behind Validate(); conclusive only at quiescence (a
+  /// concurrent Pin/Retire can move the state between its reads).
+  bool ValidateImpl(std::ostream& os) const;
 
  private:
   struct Retired {
@@ -253,10 +257,6 @@ class EpochGuard {
 
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
-
-  /// Witness for the concurrent mutation API (common/index_api.h): proof the
-  /// caller holds a live pin for the duration of the call it is passed to.
-  EpochToken token() const { return EpochToken{}; }
 
  private:
   EpochDomain* domain_;

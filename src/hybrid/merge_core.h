@@ -1,5 +1,5 @@
 // Merge and scan machinery shared by the blocking HybridIndex and the
-// concurrent epoch-swapped variant (concurrent_hybrid.h): key helpers,
+// concurrent epoch-swapped variant (olc_hybrid.h): key helpers,
 // sorted-entry collection, a k-way merged scan with shadow/tombstone
 // resolution and refetching, and off-critical-path static-stage rebuilds.
 #ifndef MET_HYBRID_MERGE_CORE_H_

@@ -1,51 +1,69 @@
-// OLC dual-stage hybrid index: ConcurrentHybridIndex with the writer-
-// exclusive SharedMutex replaced by optimistically lock-coupled dynamic
-// stages (btree/olc_btree.h, art/olc_art.h). Concurrent inserts, updates
-// and deletes proceed in parallel with each other, with readers, and with
-// the freeze/drain/publish merge.
+// Concurrent dual-stage Hybrid Index: the Chapter 5 architecture made safe
+// for concurrent readers, writers and a non-blocking background merge.
 //
-// The freeze step is an epoch-coordinated handoff instead of an exclusive-
-// lock barrier:
+// Layout: writes land in a mutable *active* dynamic stage, an optimistically
+// lock-coupled B+tree (btree/olc_btree.h). Behind it sit an immutable
+// *frozen* dynamic stage (the previous active, being drained by the
+// in-flight merge) and an immutable static stage. All three are reached
+// through one epoch-protected snapshot pointer (hybrid/epoch.h); no lock
+// guards the read or write path. Inserts, updates and deletes proceed in
+// parallel with each other, with readers, and with the merge.
 //
+// Merge lifecycle (see DESIGN.md, "Concurrent hybrid index"):
 //   freeze  — the merge claimant (merge_inflight_ CAS) swaps in a snapshot
 //             whose frozen stage is the old active and whose active stage is
-//             fresh, then retires the old snapshot, obtaining a tag.
-//   drain   — before reading the frozen stage, the drainer calls
+//             fresh, then retires the old snapshot, obtaining a tag. O(1).
+//   handoff — before reading the frozen stage, the drainer calls
 //             EpochDomain::WaitQuiescentSince(tag). Every mutation runs
 //             under an epoch pin taken *before* loading the snapshot, so a
 //             writer still mutating the now-frozen stage is pinned at an
 //             epoch <= tag (pins ordered after the retire observe the new
 //             snapshot; see epoch.h). Once those pins drain the frozen
 //             stage is quiescent and includes every routed write.
+//   drain   — frozen + old static are merged into a brand-new static stage
+//             (hybrid::BuildMergedStatic) while readers and writers proceed.
 //   publish — the drainer (still the sole snapshot swapper while
 //             merge_inflight_) swaps in a snapshot with the merged static
-//             stage and no frozen stage.
+//             stage and no frozen stage. O(1); the old snapshot is retired
+//             and reclaimed off the request path.
 //
 // Mutations return MutateOutcome (common/index_api.h) and never block on a
 // merge; kRetry surfaces a stage's exhausted restart budget with no state
 // change. Outcomes and the size counter are exact under per-key
 // serialization (no two threads racing the *same* key), the discipline all
 // in-tree callers follow; under same-key races both are last-writer-wins
-// approximations, as documented on the OLC stages.
+// approximations, as documented on OlcBTree.
 //
-// No Bloom filters in front of the active stage: filter maintenance would
-// reintroduce a writer ordering point, and the OLC stages make negative
-// probes cheap (a descent with no lock traffic).
+// Point reads and scans are per-key atomic (each key reflects some state
+// between the operation's invocation and return), but a multi-key scan is
+// not a point-in-time snapshot of the whole index: it sees a fixed (frozen,
+// static) pair plus the active stage as of each batch fetch.
+//
+// ConcurrentHybridConfig is normalized on construction:
+//   - kMergeCold becomes kMergeAll: re-inserting the hot set would put
+//     O(hot) work back on the publish path, and hot-tracking from the read
+//     path would race.
+//   - use_bloom is cleared: filter maintenance would reintroduce a writer
+//     ordering point, and the OLC stage makes negative probes cheap (a
+//     descent with no lock traffic).
+// Use the blocking HybridIndex when either matters more than concurrency.
+//
+// Static stages must be safe for concurrent const reads. CompactBTree
+// qualifies (pure const probes); CompressedBTree does not (mutable
+// decompression cache).
 #ifndef MET_HYBRID_OLC_HYBRID_H_
 #define MET_HYBRID_OLC_HYBRID_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <ostream>
-#include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "art/olc_art.h"
 #include "btree/olc_btree.h"
 #include "common/assert.h"
 #include "common/index_api.h"
@@ -53,7 +71,6 @@
 #include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "hybrid/adapters.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/epoch.h"
 #include "hybrid/hybrid_index.h"
 #include "hybrid/merge_core.h"
@@ -61,8 +78,17 @@
 
 namespace met {
 
-/// Merge-phase metrics for the OLC hybrid, separate from the locked
-/// hybrid's so bench_olc_scaling can attribute pauses per engine.
+struct ConcurrentHybridConfig : HybridConfig {
+  /// Drain merges on a background thread (production mode). When false the
+  /// writer whose mutation triggered the merge drains synchronously once it
+  /// has released its epoch pin: fully deterministic, which the differential
+  /// harness and the schedule model checker rely on.
+  bool background_merge = true;
+};
+
+/// Process-wide merge-phase metrics for the concurrent hybrid, split by
+/// phase: freeze_ns and publish_ns are O(1) swaps, handoff_ns is the wait for
+/// writers still pinned to the frozen stage, drain_ns is the rebuild.
 struct OlcHybridObsMetrics {
   obs::Counter* merges;
   obs::Histogram* freeze_ns;
@@ -89,10 +115,9 @@ struct OlcHybridObsMetrics {
 
 /// DynamicStage is an OLC structure used directly (no adapter): it must
 /// speak the native outcome surface (Upsert/UpdateIfPresent/Remove with a
-/// previous-value out param), concurrent-safe Lookup/ScanPairs/size, and
-/// ideally share this index's epoch domain (a constructor taking
-/// hybrid::EpochDomain* is detected and used, so one guard pin covers both
-/// snapshot and node reclamation).
+/// previous-value out param) and concurrent-safe Lookup/ScanPairs/size. It
+/// must never free a node a concurrent reader can still reach (OlcBTree
+/// never frees nodes while live), so only snapshots are epoch-reclaimed.
 template <typename Key, typename DynamicStage, typename StaticStage>
 class OlcConcurrentHybridIndex {
  public:
@@ -101,7 +126,7 @@ class OlcConcurrentHybridIndex {
 
   explicit OlcConcurrentHybridIndex(const ConcurrentHybridConfig& config = {})
       : config_(Normalize(config)) {
-    snapshot_.store(new Snapshot{MakeStage(), nullptr,
+    snapshot_.store(new Snapshot{std::make_shared<DynamicStage>(), nullptr,
                                  std::make_shared<const StaticStage>(), 0},
                     std::memory_order_seq_cst);
   }
@@ -109,8 +134,7 @@ class OlcConcurrentHybridIndex {
   ~OlcConcurrentHybridIndex() {
     WaitForMergeIdle();
     delete snapshot_.load(std::memory_order_seq_cst);
-    // epoch_'s destructor runs any still-retired deleters (old snapshots
-    // and any nodes the stages retired into the shared domain).
+    // epoch_'s destructor runs any still-retired snapshot deleters.
   }
 
   OlcConcurrentHybridIndex(const OlcConcurrentHybridIndex&) = delete;
@@ -218,9 +242,8 @@ class OlcConcurrentHybridIndex {
   }
 
   /// Ordered scan across the three stages (active shadows frozen shadows
-  /// static). Same per-key atomicity caveat as ConcurrentHybridIndex: the
-  /// (frozen, static) pair is fixed for the whole scan, the active stage is
-  /// consulted per batch.
+  /// static). Per-key atomic only (see header): the (frozen, static) pair is
+  /// fixed for the whole scan, the active stage is consulted per batch.
   size_t Scan(const Key& key, size_t n, std::vector<Value>* out) const {
     hybrid::EpochGuard g(epoch_);
     const Snapshot* s = snapshot_.load(std::memory_order_seq_cst);
@@ -347,25 +370,62 @@ class OlcConcurrentHybridIndex {
 
   const hybrid::EpochDomain& epoch_domain() const { return epoch_; }
 
-  /// Quiescent-only (WaitForMergeIdle() first, no concurrent writers):
-  /// checks the size counter against a full merged scan, the dynamic
-  /// stage's own structural invariants, and the epoch domain.
+  /// Quiescent-only (WaitForMergeIdle() first, no concurrent writers).
+  /// Checks the snapshot state machine (no frozen stage, version advanced
+  /// by two per completed merge), each stage's order and the dynamic
+  /// stage's structural invariants, the tombstone discipline (none in the
+  /// static stage; each active tombstone shadows a static entry), the size
+  /// counter against the live entries, and the epoch domain.
   bool Validate(std::ostream& os) const {
     const Snapshot* s = snapshot_.load(std::memory_order_seq_cst);
     if (s->frozen != nullptr) {
       os << "olc_hybrid: frozen stage present while idle\n";
       return false;
     }
-    if constexpr (requires(const DynamicStage& d, std::ostream& o) {
-                    { d.Validate(o) } -> std::convertible_to<bool>;
-                  }) {
-      if (!s->active->Validate(os)) return false;
+    uint64_t merges = merge_stats().merge_count;
+    if (s->version != 2 * merges) {
+      os << "olc_hybrid: snapshot version " << s->version << " after "
+         << merges << " merges\n";
+      return false;
     }
-    std::vector<Value> values;
-    size_t live = Scan(hybrid::MinKey<Key>(), size() + 16, &values);
+    if (!s->active->Validate(os)) return false;
+    using Pairs = std::vector<std::pair<Key, Value>>;
+    Pairs act, sta;
+    s->active->ScanPairs(hybrid::MinKey<Key>(), s->active->size(), &act);
+    s->stat->ScanPairs(hybrid::MinKey<Key>(), s->stat->size(), &sta);
+    auto key_less = [](const std::pair<Key, Value>& a,
+                       const std::pair<Key, Value>& b) {
+      return a.first < b.first;
+    };
+    auto strictly_sorted = [&](const Pairs& v) {
+      for (size_t i = 1; i < v.size(); ++i)
+        if (!key_less(v[i - 1], v[i])) return false;
+      return true;
+    };
+    if (!strictly_sorted(act) || !strictly_sorted(sta)) {
+      os << "olc_hybrid: a stage is not strictly sorted\n";
+      return false;
+    }
+    size_t live = 0;
+    for (const auto& p : sta) {
+      if (p.second == kTombstone) {
+        os << "olc_hybrid: tombstone in the static stage\n";
+        return false;
+      }
+      ++live;
+    }
+    for (const auto& p : act) {
+      bool below = std::binary_search(sta.begin(), sta.end(), p, key_less);
+      if (p.second == kTombstone && !below) {
+        os << "olc_hybrid: active tombstone shadows nothing\n";
+        return false;
+      }
+      if (p.second == kTombstone) --live;
+      else if (!below) ++live;
+    }
     if (live != size()) {
-      os << "olc_hybrid: size " << size() << " != scanned live entries "
-         << live << "\n";
+      os << "olc_hybrid: size " << size() << " != live entries " << live
+         << "\n";
       return false;
     }
     return epoch_.Validate(os);
@@ -386,17 +446,6 @@ class OlcConcurrentHybridIndex {
     c.strategy = HybridConfig::MergeStrategy::kMergeAll;  // see header note
     c.use_bloom = false;  // see header note
     return c;
-  }
-
-  /// Fresh dynamic stage; an OLC stage constructible from an EpochDomain*
-  /// shares this index's domain (one pin covers snapshot + node safety).
-  std::shared_ptr<DynamicStage> MakeStage() {
-    if constexpr (std::is_constructible_v<DynamicStage,
-                                          hybrid::EpochDomain*>) {
-      return std::make_shared<DynamicStage>(&epoch_);
-    } else {
-      return std::make_shared<DynamicStage>();
-    }
   }
 
   /// Point probe below the active stage: frozen (tombstones delete), then
@@ -447,8 +496,8 @@ class OlcConcurrentHybridIndex {
     MET_DCHECK(old->frozen == nullptr,
                "freeze with a merge already in flight");
     size_t frozen_entries = old->active->size();
-    auto* next = new Snapshot{MakeStage(), old->active, old->stat,
-                              old->version + 1};
+    auto* next = new Snapshot{std::make_shared<DynamicStage>(), old->active,
+                              old->stat, old->version + 1};
     snapshot_.store(next, std::memory_order_seq_cst);
     uint64_t tag = epoch_.Retire([old] { delete old; });
     {
@@ -550,25 +599,16 @@ class OlcConcurrentHybridIndex {
   HybridMergeStats stats_ MET_GUARDED_BY(merge_mu_);
 };
 
-// ---------------------------------------------------------------------------
-// Aliases: OLC counterparts of the concurrent_hybrid.h aliases. The OLC
-// stages are used directly (no adapter shim) so the hybrid reaches their
-// native outcome ops and shares its epoch domain with OlcArt.
-// ---------------------------------------------------------------------------
-
+/// The served configuration: OLC B+tree active stage over a Compact B+tree
+/// static stage (met_server's memory engine, the sharded YCSB driver).
 template <typename Key>
 using OlcConcurrentHybridBTree =
     OlcConcurrentHybridIndex<Key, OlcBTree<Key>, StatCompactBTreeStage<Key>>;
-
-using OlcConcurrentHybridArt =
-    OlcConcurrentHybridIndex<std::string, OlcArt, StatCompactArtStage>;
 
 static_assert(HasOutcomeMutations<OlcConcurrentHybridBTree<uint64_t>,
                                   uint64_t>);
 static_assert(MutablePointIndex<OlcConcurrentHybridBTree<uint64_t>,
                                 uint64_t>);
-static_assert(HasOutcomeMutations<OlcConcurrentHybridArt, std::string>);
-static_assert(MutablePointIndex<OlcConcurrentHybridArt, std::string>);
 
 }  // namespace met
 

@@ -163,11 +163,6 @@ class LsmTree {
   /// Unified point lookup (Figure 4.3, Get execution path).
   bool Lookup(std::string_view key, std::string* value = nullptr);
 
-  [[deprecated("use Lookup()")]] bool Get(std::string_view key,
-                                          std::string* value = nullptr) {
-    return Lookup(key, value);
-  }
-
   /// Open seek: smallest key >= `lk` across all levels; nullopt at end.
   std::optional<std::string> Seek(std::string_view lk);
 

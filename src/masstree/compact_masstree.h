@@ -33,11 +33,6 @@ class CompactMasstree {
   /// Unified point lookup (met::ReadOnlyPointIndex surface).
   bool Lookup(std::string_view key, Value* value = nullptr) const;
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
 
   size_t Scan(std::string_view key, size_t n, std::vector<Value>* out,
               std::vector<std::string>* keys_out = nullptr) const;

@@ -75,11 +75,6 @@ class Masstree {
   /// Unified point lookup (met::RangeIndex surface).
   bool Lookup(std::string_view key, Value* value = nullptr) const;
 
-  [[deprecated("use Lookup()")]] bool Find(std::string_view key,
-                                           Value* value = nullptr) const {
-    return Lookup(key, value);
-  }
-
   bool Update(std::string_view key, Value value);
   bool Erase(std::string_view key);
 

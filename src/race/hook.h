@@ -31,6 +31,10 @@ extern thread_local VThread* tls_vthread;
 // step. `what` labels the yield point in traces (must be a string literal).
 void YieldSlow(VThread* t, const char* what);
 
+// Pause inside a spin-wait: the thread is not scheduled again until another
+// virtual thread has taken a step.
+void SpinWaitSlow(VThread* t, const char* what);
+
 // Modeled lock operations: under a scheduler the *real* mutex stays
 // unlocked — ownership lives in the scheduler's lock table so a descheduled
 // holder cannot wedge the run. Acquire blocks the virtual thread (it becomes
@@ -48,6 +52,20 @@ inline bool UnderScheduler() { return internal::tls_vthread != nullptr; }
 inline void YieldPoint(const char* what) {
   if (internal::VThread* t = internal::tls_vthread) {
     internal::YieldSlow(t, what);
+  }
+}
+
+/// Marks one round of a wait whose condition only another thread can
+/// change: a spin loop, or an optimistic reader that found a node locked.
+/// A virtual thread is parked and counts as not runnable until some other
+/// thread has taken a step, so it neither burns the step budget nor hides
+/// the thread it waits for from a non-preemptive schedule. If every live
+/// thread is waiting they all re-poll, so a wait no thread can satisfy
+/// ends in the step budget (a reported livelock). No-op on production
+/// threads (the caller decides whether to yield the CPU).
+inline void SpinWait(const char* what) {
+  if (internal::VThread* t = internal::tls_vthread) {
+    internal::SpinWaitSlow(t, what);
   }
 }
 

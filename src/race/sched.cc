@@ -43,6 +43,9 @@ struct VThread {
   const void* blocked_on = nullptr;
   bool blocked_shared = false;
 
+  // Parked in race::SpinWait: disabled until another thread takes a step.
+  bool spin_waiting = false;
+
   const char* last_point = "start";
 };
 
@@ -172,7 +175,7 @@ struct SchedulerImpl {
   // ---- scheduling ----
 
   bool Enabled(const VThread& t) {
-    if (t.finished) return false;
+    if (t.finished || t.spin_waiting) return false;
     if (t.blocked_on != nullptr) {
       auto it = locks.find(t.blocked_on);
       if (it != locks.end() &&
@@ -214,6 +217,11 @@ struct SchedulerImpl {
 };
 
 void YieldSlow(VThread* t, const char* what) { t->sched->Yield(t, what); }
+
+void SpinWaitSlow(VThread* t, const char* what) {
+  t->spin_waiting = true;
+  t->sched->Yield(t, what);
+}
 
 void AcquireSlow(VThread* t, const void* addr, bool shared, const char* what) {
   t->sched->Acquire(t, addr, shared, what);
@@ -294,6 +302,13 @@ RunResult Scheduler::Run(std::vector<ThreadFn> threads,
     if (s.failed) break;
     uint32_t enabled = s.EnabledMask();
     if (enabled == 0) {
+      // Every live thread spin-waits. One may have polled a stale value
+      // before the state changed under it, so all re-poll; a wait nobody
+      // can satisfy then runs into the step budget (reported as livelock).
+      for (auto& t : s.vthreads) t->spin_waiting = false;
+      enabled = s.EnabledMask();
+    }
+    if (enabled == 0) {
       deadlock = true;
       break;
     }
@@ -329,6 +344,9 @@ RunResult Scheduler::Run(std::vector<ThreadFn> threads,
 
     s.Grant(s.vthreads[choice].get());
     running = choice;
+    // The chosen thread's step may have changed what a spinner polls.
+    for (auto& t : s.vthreads)
+      if (t->index != choice) t->spin_waiting = false;
 
     if (!s.failed && step_check) {
       try {
@@ -343,6 +361,17 @@ RunResult Scheduler::Run(std::vector<ThreadFn> threads,
     }
   }
 
+  // Name the blocked threads before the abort unwinds them.
+  std::string deadlock_report;
+  if (deadlock) {
+    std::ostringstream os;
+    os << "deadlock: no runnable thread (";
+    for (const auto& t : s.vthreads)
+      if (!t->finished)
+        os << "t" << t->index << " blocked at " << t->last_point << "; ";
+    os << ")";
+    deadlock_report = os.str();
+  }
   if (s.failed || livelock || deadlock) s.AbortRemaining();
   for (auto& t : s.vthreads) t->th.join();
 
@@ -353,14 +382,8 @@ RunResult Scheduler::Run(std::vector<ThreadFn> threads,
     result.failed = true;
     result.failure = "step budget exhausted (livelock or unbounded wait)";
   } else if (deadlock) {
-    std::ostringstream os;
-    os << "deadlock: no runnable thread (";
-    for (const auto& t : s.vthreads)
-      if (!t->finished)
-        os << "t" << t->index << " blocked at " << t->last_point << "; ";
-    os << ")";
     result.failed = true;
-    result.failure = os.str();
+    result.failure = deadlock_report;
   }
   return result;
 }

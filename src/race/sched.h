@@ -6,8 +6,10 @@
 // sync primitives (common/sync.h: mutex acquire/release, atomic load/store,
 // epoch pin/unpin via sync::Atomic) is a *yield point*: the paused thread
 // hands control back and the scheduler decides who performs the next atomic
-// action. A whole execution is therefore determined by its choice sequence
-// (the Trace), which makes every failure replayable bit-for-bit.
+// action. Spin-waits go through race::SpinWait, which parks the spinner
+// until another thread has taken a step. A whole execution is therefore
+// determined by its choice sequence (the Trace), which makes every failure
+// replayable bit-for-bit.
 //
 // Exploration modes:
 //   - ExploreExhaustive: depth-first enumeration of all schedules whose

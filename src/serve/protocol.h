@@ -101,7 +101,7 @@ inline constexpr size_t kMaxFrameBytes =
     kFrameBodyMinBytes + 4 + kMaxScanLimit * 8;
 
 /// PUT of this value is rejected (kError): it collides with the in-memory
-/// engine's tombstone sentinel (ConcurrentHybridIndex::kTombstone).
+/// engine's tombstone sentinel (OlcConcurrentHybridIndex::kTombstone).
 inline constexpr uint64_t kReservedValue = ~uint64_t{0};
 
 struct Request {

@@ -19,7 +19,6 @@
 #include "guard/clock.h"
 #include "guard/dedup.h"
 #include "guard/metrics.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/olc_hybrid.h"
 #include "lsm/lsm.h"
 #include "serve/net.h"
@@ -48,15 +47,15 @@ const ServeObsMetrics& ServeObsMetrics::Get() {
 
 namespace {
 
-/// PUT config shared by both memory engines: non-unique, so Insert is
-/// insert-or-assign — exactly PUT's upsert.
+/// Memory engine config: non-unique, so Insert is insert-or-assign —
+/// exactly PUT's upsert.
 ConcurrentHybridConfig MemoryEngineConfig() {
   ConcurrentHybridConfig c;
   c.unique = false;
   return c;
 }
 
-/// Default memory engine: OLC hybrid through the outcome mutation API.
+/// Memory engine: OLC hybrid through the outcome mutation API.
 /// PUT and DELETE take no writer lock — they optimistically descend the
 /// active stage and run in parallel with reads, with each other (were the
 /// shard ever driven from more than one thread), and with the
@@ -87,34 +86,6 @@ class OlcMemoryEngine final : public ShardEngine {
 
  private:
   OlcConcurrentHybridBTree<uint64_t> index_;
-};
-
-/// Legacy memory engine: the SharedMutex hybrid, where every PUT/DELETE
-/// takes the writer-exclusive lock. Kept as the A/B baseline for
-/// bench_olc_scaling and --engine=locked.
-class LockedMemoryEngine final : public ShardEngine {
- public:
-  LockedMemoryEngine() : index_(MemoryEngineConfig()) {}
-
-  bool Get(uint64_t key, uint64_t* value) override {
-    return index_.Lookup(key, value);
-  }
-  void GetBatch(const uint64_t* keys, size_t n, LookupResult* out) override {
-    met::LookupBatch(index_, keys, n, out);
-  }
-  bool Put(uint64_t key, uint64_t value) override {
-    index_.Insert(key, value);
-    return true;
-  }
-  bool Delete(uint64_t key) override { return index_.Erase(key); }
-  size_t Scan(uint64_t start, size_t limit,
-              std::vector<uint64_t>* out) override {
-    out->clear();
-    return index_.Scan(start, limit, out);
-  }
-
- private:
-  ConcurrentHybridBTree<uint64_t> index_;
 };
 
 /// 8-byte big-endian key so LSM lexicographic order == numeric order.
@@ -191,10 +162,6 @@ class DurableEngine final : public ShardEngine {
 
 std::unique_ptr<ShardEngine> NewMemoryEngine() {
   return std::make_unique<OlcMemoryEngine>();
-}
-
-std::unique_ptr<ShardEngine> NewLockedMemoryEngine() {
-  return std::make_unique<LockedMemoryEngine>();
 }
 
 std::unique_ptr<ShardEngine> NewDurableEngine(const std::string& dir,
@@ -1088,8 +1055,6 @@ struct Server::Impl {
           TearDownFds();
           return open_st;
         }
-      } else if (opts.locked_memory_engine) {
-        s->engine = NewLockedMemoryEngine();
       } else {
         s->engine = NewMemoryEngine();
       }

@@ -108,11 +108,6 @@ class ShardEngine {
 /// behind a shard proceed in parallel with the shard's request stream.
 std::unique_ptr<ShardEngine> NewMemoryEngine();
 
-/// Pre-OLC in-memory engine: ConcurrentHybridBTree<uint64_t>, whose
-/// SharedMutex serializes PUT/DELETE against each other and against the
-/// merge. Kept selectable (--engine=locked) as the bench baseline.
-std::unique_ptr<ShardEngine> NewLockedMemoryEngine();
-
 /// Durable engine: LsmTree::Open on `dir` (WAL + MANIFEST, group-fsync via
 /// SyncWrites). Keys are 8-byte big-endian so lexicographic order matches
 /// numeric order. On open failure returns null and reports through
@@ -138,10 +133,6 @@ struct ServerOptions {
   size_t dedup_window = 4096;
   /// Pause reading a connection whose pending response bytes exceed this.
   size_t conn_write_buffer_limit = 4u << 20;
-
-  /// Memory mode only: use the legacy SharedMutex hybrid engine instead of
-  /// the OLC default (writer-lock baseline for A/B runs).
-  bool locked_memory_engine = false;
 
   bool durable = false;
   std::string dir = "/tmp/met_serve";  // durable partitions: dir/shard-<i>

@@ -1,7 +1,9 @@
-// Tests for the concurrent hybrid index: epoch-based reclamation, the
-// freeze/drain/publish merge protocol, differential correctness against
-// std::map, tombstone/scan regressions on the concurrent path, and
-// multi-threaded stress (the TSan CI job picks this binary up by name).
+// Tests for the concurrent hybrid index (OlcConcurrentHybridBTree, the
+// served engine): epoch-based reclamation, the freeze/handoff/drain/publish
+// merge protocol, differential correctness against std::map in both unique
+// and served (non-unique) mode, tombstone/scan regressions on the
+// concurrent path, and multi-threaded stress (the TSan CI job picks this
+// binary up by name).
 #include <atomic>
 #include <map>
 #include <sstream>
@@ -9,10 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "check/concurrent_hybrid_check.h"
 #include "common/random.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/epoch.h"
+#include "hybrid/olc_hybrid.h"
 #include "obs/stall.h"
 #include "ycsb/driver.h"
 #include "gtest/gtest.h"
@@ -80,41 +81,56 @@ TEST(EpochDomainTest, ValidateAndGuard) {
   EXPECT_EQ(domain.TryReclaim(), 1u);
 }
 
-// ---- Differential correctness (synchronous merges) ----
+// ---- Differential correctness ----
 
-ConcurrentHybridConfig SmallMergeConfig(bool background) {
+using Index = OlcConcurrentHybridBTree<uint64_t>;
+
+ConcurrentHybridConfig SmallMergeConfig(bool background, bool unique = true) {
   ConcurrentHybridConfig c;
   c.min_merge_entries = 256;
   c.background_merge = background;
+  c.unique = unique;
   return c;
 }
 
-template <typename Index, typename KeyFn>
-void RunRandomOpsAgainstStdMap(Index* index, KeyFn make_key, int ops,
+// Random Insert/Update/Remove/Lookup against std::map. In non-unique (the
+// served) mode Insert upserts: kInserted for a dead key, kUpdated otherwise.
+void RunRandomOpsAgainstStdMap(Index* index, bool unique, int ops,
                                uint64_t seed) {
-  std::map<decltype(make_key(0)), uint64_t> ref;
+  std::map<uint64_t, uint64_t> ref;
   Random rng(seed);
   for (int i = 0; i < ops; ++i) {
-    auto k = make_key(rng.Uniform(4000));
+    uint64_t k = rng.Uniform(4000) * 2;
     switch (rng.Uniform(5)) {
-      case 0:
-        ASSERT_EQ(index->Insert(k, i), ref.emplace(k, i).second) << i;
+      case 0: {
+        bool live = ref.count(k) > 0;
+        MutateOutcome want = !live  ? MutateOutcome::kInserted
+                             : unique ? MutateOutcome::kExists
+                                      : MutateOutcome::kUpdated;
+        ASSERT_EQ(index->Insert(k, i), want) << i;
+        if (!live || !unique) ref[k] = i;
         break;
+      }
       case 1: {
-        bool in_ref = ref.count(k) > 0;
-        if (in_ref) ref[k] = i;
-        ASSERT_EQ(index->Update(k, i), in_ref);
+        bool live = ref.count(k) > 0;
+        if (live) ref[k] = i;
+        ASSERT_EQ(index->Update(k, i), live ? MutateOutcome::kUpdated
+                                            : MutateOutcome::kNotFound);
         break;
       }
       case 2:
-        ASSERT_EQ(index->Erase(k), ref.erase(k) > 0);
+        ASSERT_EQ(index->Remove(k), ref.erase(k) > 0
+                                        ? MutateOutcome::kRemoved
+                                        : MutateOutcome::kNotFound);
         break;
       default: {
         uint64_t v = 0;
         bool found = index->Lookup(k, &v);
         auto it = ref.find(k);
         ASSERT_EQ(found, it != ref.end());
-        if (found) ASSERT_EQ(v, it->second);
+        if (found) {
+          ASSERT_EQ(v, it->second);
+        }
       }
     }
     if (i % 4096 == 0) {
@@ -125,8 +141,7 @@ void RunRandomOpsAgainstStdMap(Index* index, KeyFn make_key, int ops,
   index->WaitForMergeIdle();
   ASSERT_EQ(index->size(), ref.size());
   std::vector<uint64_t> vals;
-  using KeyT = decltype(make_key(0));
-  index->Scan(KeyT{}, ref.size() + 10, &vals);
+  index->Scan(0, ref.size() + 10, &vals);
   ASSERT_EQ(vals.size(), ref.size());
   size_t i = 0;
   for (const auto& [k, v] : ref) {
@@ -138,60 +153,45 @@ void RunRandomOpsAgainstStdMap(Index* index, KeyFn make_key, int ops,
 }
 
 TEST(ConcurrentHybridTest, BTreeIntRandomOpsSyncMerge) {
-  ConcurrentHybridBTree<uint64_t> index(SmallMergeConfig(false));
-  RunRandomOpsAgainstStdMap(
-      &index, [](uint64_t i) { return i * 2; }, 20000, 1);
+  Index index(SmallMergeConfig(false));
+  RunRandomOpsAgainstStdMap(&index, /*unique=*/true, 20000, 1);
 }
 
 TEST(ConcurrentHybridTest, BTreeIntRandomOpsBackgroundMerge) {
-  ConcurrentHybridBTree<uint64_t> index(SmallMergeConfig(true));
-  RunRandomOpsAgainstStdMap(
-      &index, [](uint64_t i) { return i * 2; }, 20000, 2);
+  Index index(SmallMergeConfig(true));
+  RunRandomOpsAgainstStdMap(&index, /*unique=*/true, 20000, 2);
 }
 
-TEST(ConcurrentHybridTest, SkipListIntRandomOps) {
-  ConcurrentHybridSkipList<uint64_t> index(SmallMergeConfig(true));
-  RunRandomOpsAgainstStdMap(
-      &index, [](uint64_t i) { return i * 3; }, 12000, 3);
+TEST(ConcurrentHybridTest, ServedConfigRandomOpsSyncMerge) {
+  Index index(SmallMergeConfig(false, /*unique=*/false));
+  RunRandomOpsAgainstStdMap(&index, /*unique=*/false, 20000, 3);
 }
 
-TEST(ConcurrentHybridTest, ArtStringRandomOps) {
-  ConcurrentHybridArt index(SmallMergeConfig(true));
-  RunRandomOpsAgainstStdMap(
-      &index,
-      [](uint64_t i) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "k%08llu", (unsigned long long)i);
-        return std::string(buf);
-      },
-      12000, 4);
-}
-
-TEST(ConcurrentHybridTest, MasstreeStringRandomOps) {
-  ConcurrentHybridMasstree index(SmallMergeConfig(false));
-  RunRandomOpsAgainstStdMap(
-      &index,
-      [](uint64_t i) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "m%08llu", (unsigned long long)i);
-        return std::string(buf);
-      },
-      12000, 5);
+TEST(ConcurrentHybridTest, ServedConfigRandomOpsBackgroundMerge) {
+  Index index(SmallMergeConfig(true, /*unique=*/false));
+  RunRandomOpsAgainstStdMap(&index, /*unique=*/false, 20000, 4);
 }
 
 // ---- Regressions on the concurrent path ----
 
-TEST(ConcurrentHybridTest, NonUniqueInsertKeepsSizeExact) {
+// The served configuration with merges only on demand (Merge()).
+ConcurrentHybridConfig ManualMergeConfig() {
   ConcurrentHybridConfig cfg;
   cfg.min_merge_entries = 1 << 30;
   cfg.unique = false;
-  ConcurrentHybridBTree<uint64_t> index(cfg);
-  for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(index.Insert(k, k));
-  for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(index.Insert(k, k + 1000));
+  return cfg;
+}
+
+TEST(ConcurrentHybridTest, NonUniqueInsertKeepsSizeExact) {
+  Index index(ManualMergeConfig());
+  for (uint64_t k = 0; k < 100; ++k)
+    ASSERT_EQ(index.Insert(k, k), MutateOutcome::kInserted);
+  for (uint64_t k = 0; k < 100; ++k)
+    ASSERT_EQ(index.Insert(k, k + 1000), MutateOutcome::kUpdated);
   ASSERT_EQ(index.size(), 100u);
   index.Merge();
   ASSERT_EQ(index.size(), 100u);
-  ASSERT_TRUE(index.Insert(7, 7777));
+  ASSERT_EQ(index.Insert(7, 7777), MutateOutcome::kUpdated);
   ASSERT_EQ(index.size(), 100u);
   uint64_t v = 0;
   ASSERT_TRUE(index.Lookup(7, &v));
@@ -200,15 +200,13 @@ TEST(ConcurrentHybridTest, NonUniqueInsertKeepsSizeExact) {
 }
 
 TEST(ConcurrentHybridTest, TombstoneReinsertSizeExact) {
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 1 << 30;
-  ConcurrentHybridBTree<uint64_t> index(cfg);
+  Index index(ManualMergeConfig());
   for (uint64_t k = 0; k < 50; ++k) index.Insert(k, k);
   index.Merge();
-  ASSERT_TRUE(index.Erase(10));
-  ASSERT_FALSE(index.Erase(10));
+  ASSERT_EQ(index.Remove(10), MutateOutcome::kRemoved);
+  ASSERT_EQ(index.Remove(10), MutateOutcome::kNotFound);
   ASSERT_EQ(index.size(), 49u);
-  ASSERT_TRUE(index.Insert(10, 1010));
+  ASSERT_EQ(index.Insert(10, 1010), MutateOutcome::kInserted);
   ASSERT_EQ(index.size(), 50u);
   index.Merge();
   ASSERT_EQ(index.size(), 50u);
@@ -216,12 +214,11 @@ TEST(ConcurrentHybridTest, TombstoneReinsertSizeExact) {
 }
 
 TEST(ConcurrentHybridTest, ScanAcrossDenseTombstoneRun) {
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 1 << 30;
-  ConcurrentHybridBTree<uint64_t> index(cfg);
+  Index index(ManualMergeConfig());
   for (uint64_t k = 0; k < 1000; ++k) index.Insert(k, k + 1);
   index.Merge();
-  for (uint64_t k = 300; k < 700; ++k) ASSERT_TRUE(index.Erase(k));
+  for (uint64_t k = 300; k < 700; ++k)
+    ASSERT_EQ(index.Remove(k), MutateOutcome::kRemoved);
   ASSERT_EQ(index.size(), 600u);
   std::vector<uint64_t> vals;
   ASSERT_EQ(index.Scan(250, 100, &vals), 100u);
@@ -233,9 +230,7 @@ TEST(ConcurrentHybridTest, ScanAcrossDenseTombstoneRun) {
 // ---- Merge protocol ----
 
 TEST(ConcurrentHybridTest, ManualMergeAdvancesSnapshotVersionByTwo) {
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 1 << 30;
-  ConcurrentHybridBTree<uint64_t> index(cfg);
+  Index index(ManualMergeConfig());
   EXPECT_EQ(index.SnapshotVersion(), 0u);
   for (uint64_t k = 0; k < 100; ++k) index.Insert(k, k);
   EXPECT_EQ(index.DynamicEntries(), 100u);
@@ -255,7 +250,7 @@ TEST(ConcurrentHybridTest, ManualMergeAdvancesSnapshotVersionByTwo) {
 }
 
 TEST(ConcurrentHybridTest, BackgroundMergeEventuallyPublishes) {
-  ConcurrentHybridBTree<uint64_t> index(SmallMergeConfig(true));
+  Index index(SmallMergeConfig(true, /*unique=*/false));
   for (uint64_t k = 0; k < 20000; ++k) index.Insert(k, k + 1);
   index.WaitForMergeIdle();
   EXPECT_GT(index.merge_stats().merge_count, 0u);
@@ -273,12 +268,12 @@ TEST(ConcurrentHybridTest, BackgroundMergeEventuallyPublishes) {
 // of its own keys; the final state is validated and compared to the union
 // of all writes. TSan runs this binary in CI.
 TEST(ConcurrentHybridTest, ConcurrentReadersAndWritersDuringMerges) {
-  ConcurrentHybridBTree<uint64_t> index(SmallMergeConfig(true));
+  Index index(SmallMergeConfig(true, /*unique=*/false));
   constexpr uint64_t kPreload = 4000;
   constexpr uint64_t kPerWriter = 3000;
   constexpr int kWriters = 2;
   for (uint64_t k = 0; k < kPreload; ++k)
-    ASSERT_TRUE(index.Insert(k, k + 1));
+    ASSERT_EQ(index.Insert(k, k + 1), MutateOutcome::kInserted);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -288,9 +283,13 @@ TEST(ConcurrentHybridTest, ConcurrentReadersAndWritersDuringMerges) {
       uint64_t base = kPreload + static_cast<uint64_t>(w + 1) * 1000000;
       for (uint64_t i = 0; i < kPerWriter; ++i) {
         uint64_t key = base + i;
-        ASSERT_TRUE(index.Insert(key, key));
-        if (i % 3 == 0) ASSERT_TRUE(index.Update(key, key + 7));
-        if (i % 5 == 0) ASSERT_TRUE(index.Erase(key));
+        ASSERT_EQ(index.Insert(key, key), MutateOutcome::kInserted);
+        if (i % 3 == 0) {
+          ASSERT_EQ(index.Update(key, key + 7), MutateOutcome::kUpdated);
+        }
+        if (i % 5 == 0) {
+          ASSERT_EQ(index.Remove(key), MutateOutcome::kRemoved);
+        }
       }
     });
   }
@@ -342,10 +341,16 @@ TEST(ConcurrentHybridTest, ConcurrentReadersAndWritersDuringMerges) {
 
 // ---- Sharded YCSB driver ----
 
-TEST(ShardedYcsbTest, RoutesAndCountsConsistently) {
+// Served configuration (non-unique) with a small merge threshold.
+ConcurrentHybridConfig ShardConfig() {
   ConcurrentHybridConfig cfg;
   cfg.min_merge_entries = 512;
-  ycsb::ShardedIndex<ConcurrentHybridBTree<uint64_t>, uint64_t> index(3, cfg);
+  cfg.unique = false;
+  return cfg;
+}
+
+TEST(ShardedYcsbTest, RoutesAndCountsConsistently) {
+  ycsb::ShardedIndex<Index, uint64_t> index(3, ShardConfig());
   constexpr uint64_t kKeys = 5000;
   for (uint64_t k = 0; k < kKeys; ++k)
     ASSERT_EQ(index.Insert(k, k + 1), MutateOutcome::kInserted);
@@ -389,10 +394,7 @@ TEST(ShardedYcsbTest, BatchedReadsMatchScalar) {
   // read_batch=7 yields identical op and hit totals (queued reads are
   // flushed before every write, preserving read-your-writes order).
   auto run = [](size_t read_batch) {
-    ConcurrentHybridConfig cfg;
-    cfg.min_merge_entries = 512;
-    ycsb::ShardedIndex<ConcurrentHybridBTree<uint64_t>, uint64_t> index(3,
-                                                                        cfg);
+    ycsb::ShardedIndex<Index, uint64_t> index(3, ShardConfig());
     constexpr uint64_t kKeys = 3000;
     for (uint64_t k = 0; k < kKeys; ++k) index.Insert(k, k + 1);
     index.WaitForMergeIdle();
@@ -414,9 +416,7 @@ TEST(ShardedYcsbTest, BatchedReadsMatchScalar) {
 
   // Latencies are still recorded per op when batching (amortized).
   obs::StallSplit stalls;
-  ConcurrentHybridConfig cfg;
-  cfg.min_merge_entries = 512;
-  ycsb::ShardedIndex<ConcurrentHybridBTree<uint64_t>, uint64_t> index(2, cfg);
+  ycsb::ShardedIndex<Index, uint64_t> index(2, ShardConfig());
   for (uint64_t k = 0; k < 1000; ++k) index.Insert(k, k + 1);
   auto res = ycsb::RunYcsb(&index, YcsbSpec::WorkloadC(), 1000,
                            /*ops_per_thread=*/2000, /*num_threads=*/2,

@@ -7,7 +7,6 @@
 
 #include "art/art.h"
 #include "art/compact_art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
 #include "btree/compact_btree.h"
@@ -142,8 +141,7 @@ class StringIndexConformanceTest : public ::testing::Test {
 
 using StringIndexTypes =
     ::testing::Types<BTree<std::string>, SkipList<std::string>, Art, Masstree,
-                     HybridBTree<std::string>, HybridArt, HybridMasstree,
-                     OlcArt>;
+                     HybridBTree<std::string>, HybridArt, HybridMasstree>;
 TYPED_TEST_SUITE(StringIndexConformanceTest, StringIndexTypes);
 
 TYPED_TEST(StringIndexConformanceTest, BasicContract) {
@@ -277,13 +275,9 @@ static_assert(Filter<Surf>);
 static_assert(Filter<BloomFilter>);
 static_assert(Filter<BloomFilter, uint64_t>);
 
-// OLC stages: internally synchronized, token-bearing concurrent surface,
-// plus the legacy bool idiom for drop-in single-threaded use.
-static_assert(ConcurrentPointIndex<OlcBTree<uint64_t>, uint64_t>);
-static_assert(ConcurrentPointIndex<OlcArt, std::string>);
-static_assert(ConcurrentPointIndex<OlcArt, std::string_view>);
+// The OLC stage: internally synchronized, with the legacy bool idiom for
+// drop-in single-threaded use.
 static_assert(MutablePointIndex<OlcBTree<uint64_t>, uint64_t>);
-static_assert(MutablePointIndex<OlcArt, std::string_view>);
 static_assert(RangeIndex<OlcBTree<uint64_t>, uint64_t>);
 
 // The OLC hybrid is outcome-native: its scoped-enum mutation returns are
@@ -293,11 +287,9 @@ static_assert(RangeIndex<OlcBTree<uint64_t>, uint64_t>);
 // concept through the bool branch of the dispatchers.
 static_assert(HasOutcomeMutations<OlcConcurrentHybridBTree<uint64_t>,
                                   uint64_t>);
-static_assert(HasOutcomeMutations<OlcConcurrentHybridArt, std::string>);
 static_assert(!PointIndex<OlcConcurrentHybridBTree<uint64_t>, uint64_t>);
 static_assert(MutablePointIndex<OlcConcurrentHybridBTree<uint64_t>,
                                 uint64_t>);
-static_assert(MutablePointIndex<OlcConcurrentHybridArt, std::string>);
 static_assert(MutablePointIndex<BTree<uint64_t>, uint64_t>);
 static_assert(MutablePointIndex<HybridBTree<uint64_t>, uint64_t>);
 static_assert(!HasOutcomeMutations<BTree<uint64_t>, uint64_t>);

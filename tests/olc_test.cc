@@ -1,18 +1,12 @@
 // OLC concurrency suite: interleaved multi-writer schedules (exact per-key
-// outcome linearizability via check/olc_schedule.h) for the two OLC stages
-// and both OLC hybrid configurations, plus the native outcome surface and
-// the restart-budget contract. Runs under TSan in CI (the sanitizer shard
+// outcome linearizability via check/olc_schedule.h) for OlcBTree and the
+// concurrent hybrid built on it, plus the native outcome surface and the
+// restart-budget contract. Runs under TSan in CI (the sanitizer shard
 // regex matches "olc"), which is where the optimistic read/write protocol
 // earns its keep.
 #include <cstdint>
-#include <cstdio>
-#include <sstream>
-#include <string>
-#include <vector>
 
-#include "art/olc_art.h"
 #include "btree/olc_btree.h"
-#include "check/concurrent_hybrid_check.h"
 #include "check/olc_schedule.h"
 #include "common/olc.h"
 #include "hybrid/olc_hybrid.h"
@@ -25,25 +19,10 @@ uint64_t IntKey(int writer, int i) {
   return static_cast<uint64_t>(writer) * 1000000 + static_cast<uint64_t>(i);
 }
 
-// Shared long prefix: every writer contends on the same top-of-tree Node4
-// chain, which is what drives prefix splits and restarts.
-std::string ArtKey(int writer, int i) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "olc:sharedprefix:%02d:%06d", writer, i);
-  return std::string(buf);
-}
-
 TEST(OlcScheduleTest, BTreeMultiWriter) {
   OlcBTree<uint64_t> tree;
   check::OlcScheduleConfig cfg;
   auto r = check::RunOlcSchedule(&tree, cfg, IntKey);
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
-TEST(OlcScheduleTest, ArtMultiWriter) {
-  OlcArt tree;
-  check::OlcScheduleConfig cfg;
-  auto r = check::RunOlcSchedule(&tree, cfg, ArtKey);
   EXPECT_TRUE(r.ok) << r.message;
 }
 
@@ -59,79 +38,20 @@ TEST(OlcScheduleTest, HybridBTreeMultiWriterWithBackgroundMerges) {
   EXPECT_GT(index.merge_stats().merge_count, 0u);
 }
 
-TEST(OlcScheduleTest, HybridArtMultiWriterWithBackgroundMerges) {
-  ConcurrentHybridConfig hc;
-  hc.background_merge = true;
-  hc.constant_trigger = true;
-  hc.constant_threshold = 512;
-  OlcConcurrentHybridArt index(hc);
-  check::OlcScheduleConfig cfg;
-  cfg.ops_per_writer = 5000;  // string keys are pricier; keep TSan runs quick
-  auto r = check::RunOlcSchedule(&index, cfg, ArtKey);
-  EXPECT_TRUE(r.ok) << r.message;
-  EXPECT_GT(index.merge_stats().merge_count, 0u);
-}
-
 TEST(OlcNativeSurfaceTest, OutcomesAndPreviousValues) {
-  OlcArt t;
+  OlcBTree<uint64_t> t;
   uint64_t prev = 0;
-  EXPECT_EQ(t.Upsert("k", 1, &prev), MutateOutcome::kInserted);
-  EXPECT_EQ(t.Upsert("k", 2, &prev), MutateOutcome::kUpdated);
+  EXPECT_EQ(t.Upsert(1, 1, &prev), MutateOutcome::kInserted);
+  EXPECT_EQ(t.Upsert(1, 2, &prev), MutateOutcome::kUpdated);
   EXPECT_EQ(prev, 1u);
-  EXPECT_EQ(t.InsertUnique("k", 3), MutateOutcome::kExists);
-  EXPECT_EQ(t.UpdateIfPresent("k", 4, &prev), MutateOutcome::kUpdated);
+  EXPECT_EQ(t.InsertUnique(1, 3), MutateOutcome::kExists);
+  EXPECT_EQ(t.UpdateIfPresent(1, 4, &prev), MutateOutcome::kUpdated);
   EXPECT_EQ(prev, 2u);
-  EXPECT_EQ(t.UpdateIfPresent("absent", 9), MutateOutcome::kNotFound);
-  EXPECT_EQ(t.Remove("k", &prev), MutateOutcome::kRemoved);
+  EXPECT_EQ(t.UpdateIfPresent(9, 9), MutateOutcome::kNotFound);
+  EXPECT_EQ(t.Remove(1, &prev), MutateOutcome::kRemoved);
   EXPECT_EQ(prev, 4u);
-  EXPECT_EQ(t.Remove("k"), MutateOutcome::kNotFound);
+  EXPECT_EQ(t.Remove(1), MutateOutcome::kNotFound);
   EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(OlcNativeSurfaceTest, TokenOverloadsWitnessThePin) {
-  // The token-bearing ConcurrentPointIndex surface: obtained from a live
-  // guard, never constructed bare. OlcBTree ignores the pin (no
-  // reclamation) but keeps the same signature so call sites are uniform.
-  OlcArt art;
-  {
-    hybrid::EpochGuard g(art.epoch());
-    EXPECT_EQ(art.Insert("a", 1, g.token()), MutateOutcome::kInserted);
-    EXPECT_EQ(art.Update("a", 2, g.token()), MutateOutcome::kUpdated);
-    uint64_t v = 0;
-    EXPECT_TRUE(art.Lookup("a", &v, g.token()));
-    EXPECT_EQ(v, 2u);
-    EXPECT_EQ(art.Remove("a", g.token()), MutateOutcome::kRemoved);
-  }
-  hybrid::EpochDomain domain;
-  OlcBTree<uint64_t> tree;
-  {
-    hybrid::EpochGuard g(domain);
-    EXPECT_EQ(tree.Insert(1, 10, g.token()), MutateOutcome::kInserted);
-    EXPECT_EQ(tree.Insert(1, 11, g.token()), MutateOutcome::kExists);
-    uint64_t v = 0;
-    EXPECT_TRUE(tree.Lookup(1, &v, g.token()));
-    EXPECT_EQ(v, 10u);
-    EXPECT_EQ(tree.Remove(1, g.token()), MutateOutcome::kRemoved);
-  }
-}
-
-TEST(OlcNativeSurfaceTest, SharedEpochDomain) {
-  // An OlcArt given an external domain retires nodes into it; reclaiming
-  // through the shared domain (as the OLC hybrid's merge path does) frees
-  // them without the tree's involvement.
-  hybrid::EpochDomain domain;
-  OlcArt t(&domain);
-  for (int i = 0; i < 2000; ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "grow:%06d", i);
-    ASSERT_EQ(t.Upsert(buf, static_cast<uint64_t>(i)),
-              MutateOutcome::kInserted);
-  }
-  EXPECT_EQ(t.size(), 2000u);
-  domain.TryReclaim();  // node-growth garbage (Node4->16->48->256) frees here
-  std::ostringstream os;
-  EXPECT_TRUE(domain.Validate(os)) << os.str();
-  EXPECT_TRUE(t.Validate(os)) << os.str();
 }
 
 TEST(OlcRestartBudgetTest, BudgetBoundsAttempts) {

@@ -24,8 +24,8 @@
 #include "common/index_api.h"
 #include "fst/fst.h"
 #include "hot/hot.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/hybrid.h"
+#include "hybrid/olc_hybrid.h"
 #include "keys/keygen.h"
 #include "lsm/lsm.h"
 #include "masstree/compact_masstree.h"
@@ -255,9 +255,11 @@ TEST(BreakdownMatchesTest, HybridIndexes) {
   ConcurrentHybridConfig ccfg;
   ccfg.min_merge_entries = 256;
   ccfg.background_merge = false;  // deterministic: no bytes move mid-call
-  ConcurrentHybridBTree<uint64_t> chybrid(ccfg);
+  ccfg.unique = false;            // the served configuration
+  OlcConcurrentHybridBTree<uint64_t> chybrid(ccfg);
   for (uint64_t i = 0; i < 5000; ++i)
     chybrid.Insert(i * 2654435761u % 100000, i);
+  ASSERT_GT(chybrid.merge_stats().merge_count, 0u);
   MemoryBreakdown cb = chybrid.Breakdown();
   EXPECT_EQ(cb.TotalBytes(), chybrid.MemoryBytes()) << cb.ToString();
   EXPECT_NE(cb.Find("active_stage"), nullptr);

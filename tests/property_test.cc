@@ -25,7 +25,6 @@
 #include <algorithm>
 
 #include "art/art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
 #include "btree/olc_btree.h"
@@ -33,7 +32,6 @@
 #include "common/index_api.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
-#include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
 #include "check/olc_schedule.h"
 #include "check/skiplist_check.h"
@@ -165,54 +163,49 @@ TEST(PropertyHybridArtCold, Differential) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent hybrid index, driven single-threaded through the same harness:
-// checkpoints quiesce background merges, then run the snapshot/epoch state
-// machine validator (check/concurrent_hybrid_check.h) plus the static
-// stage's structural validator. Multi-threaded coverage lives in
-// concurrent_hybrid_test.cc; this checks op-level semantics and the merge
-// protocol against the oracle.
+// Concurrent hybrid index (OlcConcurrentHybridBTree, the served engine),
+// driven single-threaded through the same harness in the served
+// configuration (non-unique: Insert is PUT's upsert). The adapter maps the
+// string key universe onto order-preserving integer ranks. Checkpoints
+// quiesce background merges, then run the index's snapshot/tombstone/epoch
+// validator plus the static stage's structural validator. Multi-threaded
+// coverage is the schedule layer below and concurrent_hybrid_test.cc; this
+// checks op-level semantics and the merge protocol against the oracle.
 // ---------------------------------------------------------------------------
 
 ConcurrentHybridConfig ConcurrentFuzzConfig(bool background) {
   ConcurrentHybridConfig cfg;
   cfg.min_merge_entries = 512;
   cfg.background_merge = background;
+  cfg.unique = false;
   return cfg;
 }
 
+void ConcurrentHybridDifferential(bool background) {
+  size_t n_ops = OpsPerStructure();
+  for (uint64_t seed : Seeds()) {
+    std::vector<std::string> keys = DiffKeys(4096, seed);
+    check::OutcomeHybridDiffAdapter<OlcConcurrentHybridBTree<uint64_t>> index(
+        ConcurrentFuzzConfig(background), keys);
+    std::vector<DiffOp> ops = GenOps(seed, n_ops, keys.size());
+    DiffResult res = RunDynamicOps(index, keys, ops);
+    ASSERT_TRUE(res.ok) << "seed " << seed << " diverged at op "
+                        << res.failed_op << ": " << res.message;
+  }
+}
+
 TEST(PropertyConcurrentHybridBTree, Differential) {
-  DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridBTree<std::string>>(
-        ConcurrentFuzzConfig(true));
-  });
+  ConcurrentHybridDifferential(/*background=*/true);
 }
 
 TEST(PropertyConcurrentHybridBTreeSyncMerge, Differential) {
-  DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridBTree<std::string>>(
-        ConcurrentFuzzConfig(false));
-  });
-}
-
-TEST(PropertyConcurrentHybridArt, Differential) {
-  DynamicDifferential([] {
-    return check::ConcurrentHybridDiffAdapter<ConcurrentHybridArt>(
-        ConcurrentFuzzConfig(true));
-  });
+  ConcurrentHybridDifferential(/*background=*/false);
 }
 
 // ---------------------------------------------------------------------------
-// OLC structures. Three layers of coverage:
-//   1. OlcArt's legacy bool surface through the standard single-threaded
-//      differential (op-level semantics, prefix splits, Validate()).
-//   2. The OLC hybrid through the outcome-aware adapter — background merges
-//      (freeze/drain/publish) interleave with the op stream, and every
-//      checkpoint quiesces and validates both stages.
-//   3. Interleaved multi-writer schedules (check/olc_schedule.h) for
-//      OlcBTree/OlcArt under every seed, with exact per-key outcome
-//      linearizability against per-writer oracles.
-// OlcBTree requires trivially copyable keys, so only the schedule layer
-// (uint64_t keys) covers it; the string-key differential covers OlcArt.
+// Interleaved multi-writer schedules (check/olc_schedule.h) for OlcBTree and
+// the hybrid under every seed, with exact per-key outcome linearizability
+// against per-writer oracles.
 // ---------------------------------------------------------------------------
 
 // OLC seeds that reproduced a historical failure; never remove entries.
@@ -226,25 +219,8 @@ std::vector<uint64_t> OlcSeeds() {
   return seeds;
 }
 
-TEST(PropertyOlcArt, Differential) {
-  DynamicDifferential([] { return OlcArt(); });
-}
-
-TEST(PropertyOlcHybridArt, Differential) {
-  DynamicDifferential([] {
-    return check::OutcomeHybridDiffAdapter<OlcConcurrentHybridArt>(
-        ConcurrentFuzzConfig(true));
-  });
-}
-
 uint64_t OlcIntKey(int writer, int i) {
   return static_cast<uint64_t>(writer) * 1000000 + static_cast<uint64_t>(i);
-}
-
-std::string OlcArtKey(int writer, int i) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "olc:sharedprefix:%02d:%06d", writer, i);
-  return std::string(buf);
 }
 
 TEST(PropertyOlcBTree, MultiWriterSchedules) {
@@ -258,20 +234,6 @@ TEST(PropertyOlcBTree, MultiWriterSchedules) {
   }
 }
 
-TEST(PropertyOlcArt, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    OlcArt tree;
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 4000;
-    auto r = check::RunOlcSchedule(&tree, cfg, OlcArtKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
-}
-
-// OlcBTree's trivially-copyable-key requirement keeps the string-keyed
-// differential off the OLC hybrid B+tree; the uint64-keyed schedule runs
-// it with background merges instead.
 TEST(PropertyOlcHybridBTree, MultiWriterSchedules) {
   for (uint64_t seed : OlcSeeds()) {
     ConcurrentHybridConfig hc;
@@ -283,21 +245,6 @@ TEST(PropertyOlcHybridBTree, MultiWriterSchedules) {
     cfg.seed = seed;
     cfg.ops_per_writer = 3000;
     auto r = check::RunOlcSchedule(&index, cfg, OlcIntKey);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
-  }
-}
-
-TEST(PropertyOlcHybridArt, MultiWriterSchedules) {
-  for (uint64_t seed : OlcSeeds()) {
-    ConcurrentHybridConfig hc;
-    hc.background_merge = true;
-    hc.constant_trigger = true;
-    hc.constant_threshold = 512;
-    OlcConcurrentHybridArt index(hc);
-    check::OlcScheduleConfig cfg;
-    cfg.seed = seed;
-    cfg.ops_per_writer = 3000;
-    auto r = check::RunOlcSchedule(&index, cfg, OlcArtKey);
     ASSERT_TRUE(r.ok) << "seed " << seed << ": " << r.message;
   }
 }

@@ -32,13 +32,11 @@
 #include <vector>
 
 #include "art/art.h"
-#include "art/olc_art.h"
 #include "bloom/bloom.h"
 #include "btree/olc_btree.h"
 #include "check/btree_check.h"
 #include "check/compact_btree_check.h"
 #include "check/compressed_btree_check.h"
-#include "check/concurrent_hybrid_check.h"
 #include "check/differential.h"
 #include "check/olc_schedule.h"
 #include "check/skiplist_check.h"
@@ -90,9 +88,11 @@ HybridConfig HybridColdFuzzConfig() {
   return cfg;
 }
 
+// The served configuration (non-unique upserts, background merges).
 ConcurrentHybridConfig ConcurrentHybridFuzzConfig() {
   ConcurrentHybridConfig cfg;
   cfg.min_merge_entries = 512;
+  cfg.unique = false;
   return cfg;
 }
 
@@ -678,12 +678,6 @@ uint64_t OlcIntKey(int writer, int i) {
   return static_cast<uint64_t>(writer) * 1000000 + static_cast<uint64_t>(i);
 }
 
-std::string OlcArtKey(int writer, int i) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "olc:sharedprefix:%02d:%06d", writer, i);
-  return std::string(buf);
-}
-
 struct NamedTarget {
   const char* name;
   Target target;
@@ -726,23 +720,14 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
                            HybridColdFuzzConfig());
                      }),
                      true});
-  targets.push_back({"concurrent_hybrid_btree", DynamicTarget([] {
-                       return check::ConcurrentHybridDiffAdapter<
-                           ConcurrentHybridBTree<std::string>>(
-                           ConcurrentHybridFuzzConfig());
-                     }),
-                     true});
-  targets.push_back({"concurrent_hybrid_art", DynamicTarget([] {
-                       return check::ConcurrentHybridDiffAdapter<
-                           ConcurrentHybridArt>(ConcurrentHybridFuzzConfig());
-                     }),
-                     true});
-  targets.push_back(
-      {"olc_art", DynamicTarget([] { return OlcArt(); }), true});
-  targets.push_back({"olc_hybrid_art", DynamicTarget([] {
-                       return check::OutcomeHybridDiffAdapter<
-                           OlcConcurrentHybridArt>(OlcHybridFuzzConfig());
-                     }),
+  targets.push_back({"concurrent_hybrid_btree",
+                     [](const std::vector<std::string>& keys,
+                        const std::vector<DiffOp>& ops) {
+                       check::OutcomeHybridDiffAdapter<
+                           OlcConcurrentHybridBTree<uint64_t>>
+                           index(ConcurrentHybridFuzzConfig(), keys);
+                       return RunDynamicOps(index, keys, ops);
+                     },
                      true});
   targets.push_back({"olc_btree_mw",
                      [seed](const std::vector<std::string>&,
@@ -750,13 +735,6 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
                        return OlcScheduleTarget(
                            seed, [] { return OlcBTree<uint64_t>(); },
                            OlcIntKey);
-                     },
-                     false});
-  targets.push_back({"olc_art_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(seed, [] { return OlcArt(); },
-                                                OlcArtKey);
                      },
                      false});
   targets.push_back({"olc_hybrid_btree_mw",
@@ -769,18 +747,6 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
                                  OlcHybridFuzzConfig());
                            },
                            OlcIntKey);
-                     },
-                     false});
-  targets.push_back({"olc_hybrid_art_mw",
-                     [seed](const std::vector<std::string>&,
-                            const std::vector<DiffOp>&) {
-                       return OlcScheduleTarget(
-                           seed,
-                           [] {
-                             return OlcConcurrentHybridArt(
-                                 OlcHybridFuzzConfig());
-                           },
-                           OlcArtKey);
                      },
                      false});
   targets.push_back(

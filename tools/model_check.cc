@@ -3,12 +3,14 @@
 // correctness").
 //
 // Workloads:
-//   hybrid  Freeze/drain/publish on a real ConcurrentHybridBTree with a
-//           synchronous merge: one writer whose insert crosses the merge
-//           threshold mid-run, one reader asserting per-key linearizability
-//           (a key inserted before the run must never disappear). The
-//           per-step callback asserts snapshot sanity (non-null, version
-//           monotonic); the run ends with the full PR-3 ValidateImpl.
+//   hybrid  Freeze/handoff/drain/publish on the served
+//           OlcConcurrentHybridBTree with a synchronous merge: one writer
+//           whose insert crosses the merge threshold mid-run, one reader
+//           asserting per-key linearizability (a key inserted before the run
+//           must never disappear). The drain's epoch handoff waits out the
+//           reader's pin under the scheduler (race::SpinWait). The per-step
+//           callback asserts the snapshot version never goes backwards; the
+//           run ends with the index's quiescent Validate.
 //   epoch   The publish-then-retire protocol on an EpochDomain with
 //           freed-bit objects: readers pin, load, deref; the publisher swaps
 //           and retires. With --inject the publisher retires the object
@@ -44,9 +46,8 @@
 #include "btree/olc_btree.h"
 #include "common/index_api.h"
 #include "common/sync.h"
-#include "check/concurrent_hybrid_check.h"
-#include "hybrid/concurrent_hybrid.h"
 #include "hybrid/epoch.h"
+#include "hybrid/olc_hybrid.h"
 #include "io/io.h"
 #include "lsm/wal.h"
 #include "obs/obs.h"
@@ -112,7 +113,7 @@ bool ParseCli(int argc, char** argv, Cli* cli) {
 // hybrid: freeze/drain/publish on the real index
 // ---------------------------------------------------------------------------
 
-using Index = met::ConcurrentHybridBTree<uint64_t>;
+using Index = met::OlcConcurrentHybridBTree<uint64_t>;
 
 met::ConcurrentHybridConfig HybridConfig() {
   met::ConcurrentHybridConfig cfg;
@@ -120,13 +121,20 @@ met::ConcurrentHybridConfig HybridConfig() {
   cfg.constant_trigger = true;
   cfg.constant_threshold = 2;  // writer's 2nd insert freezes + drains
   cfg.min_merge_entries = 1;
-  cfg.use_bloom = true;
+  cfg.unique = false;  // the served configuration
   return cfg;
 }
 
 struct HybridWorkload {
   std::unique_ptr<Index> index;
   uint64_t last_version = 0;
+
+  // An execution abandoned mid-merge (a reported violation) leaves the merge
+  // claim set, and the index's destructor would wait for that merge
+  // forever: leak it instead.
+  ~HybridWorkload() {
+    if (index != nullptr && index->MergeInFlight()) (void)index.release();
+  }
 
   std::vector<Scheduler::ThreadFn> MakeThreads() {
     index = std::make_unique<Index>(HybridConfig());
@@ -175,13 +183,12 @@ struct HybridWorkload {
     last_version = version;
   }
 
-  // After the threads joined (quiescent): the full PR-3 state machine.
+  // After the threads joined (quiescent): the index's state machine.
   void FinalCheck() {
     index->WaitForMergeIdle();
     std::ostringstream os;
     if (!index->Validate(os))
-      throw met::race::FailureError{"hybrid: ValidateImpl failed:\n" +
-                                    os.str()};
+      throw met::race::FailureError{"hybrid: Validate failed:\n" + os.str()};
     uint64_t v = 0;
     for (uint64_t k = 1; k <= 3; ++k)
       if (!index->Lookup(k * 10, &v) || v != k)
@@ -531,7 +538,7 @@ int main(int argc, char** argv) {
   // OUTSIDE the scheduler: a first-touch inside an explored region would
   // make executions non-deterministic across the DFS.
   met::obs::WarmUp();
-  (void)met::ConcurrentHybridObsMetrics::Get();
+  (void)met::OlcHybridObsMetrics::Get();
 
   if (cli.workload == "hybrid") {
     HybridWorkload w;
