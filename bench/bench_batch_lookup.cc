@@ -2,7 +2,8 @@
 //
 // Executes the same uniform-random point-query stream at batch sizes 1
 // through 256 against each structure: the native interleaved kernels (FST
-// point lookups, SuRF filter probes, Bloom probes) and the scalar
+// point lookups, SuRF filter probes, Bloom probes, the Compact B+tree's
+// lockstep descent and the served OLC hybrid over it) and the scalar
 // met::LookupBatch fallback (B+tree, ART), whose flat speedup curve is the
 // control. batch=1 runs the ordinary scalar call path — the baseline every
 // speedup column is relative to. Defaults to 10M random 64-bit integer keys
@@ -25,10 +26,12 @@
 #include "bench/bench_util.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
+#include "btree/compact_btree.h"
 #include "common/index_api.h"
 #include "common/prefetch.h"
 #include "common/timer.h"
 #include "fst/fst.h"
+#include "hybrid/olc_hybrid.h"
 #include "keys/keygen.h"
 #include "obs/obs.h"
 #include "prof/perf_counters.h"
@@ -209,20 +212,42 @@ void RunIntTreeDataset(const std::vector<uint64_t>& ints, size_t ops) {
   for (size_t i = 0; i < ops; ++i) qkeys[i] = ints[qidx[i]];
   std::vector<LookupResult> out(kMaxBatch);
 
-  if (!Selected("B+tree(scalar)")) return;
-  BTree<uint64_t> btree;
-  for (size_t i = 0; i < n; ++i) btree.Insert(ints[i], i + 1);
-  Sweep(
-      "B+tree(scalar)", "int", ops,
-      [&](size_t i) {
-        uint64_t v = 0;
-        btree.Lookup(qkeys[i], &v);
-        bench::Consume(v);
-      },
-      [&](size_t i0, size_t cnt) {
-        met::LookupBatch(btree, &qkeys[i0], cnt, out.data());
-        bench::Consume(out[cnt - 1].value);
-      });
+  // Scalar Lookup vs met::LookupBatch for any integer index.
+  auto sweep = [&](const char* structure, const auto& index) {
+    Sweep(
+        structure, "int", ops,
+        [&](size_t i) {
+          uint64_t v = 0;
+          index.Lookup(qkeys[i], &v);
+          bench::Consume(v);
+        },
+        [&](size_t i0, size_t cnt) {
+          met::LookupBatch(index, &qkeys[i0], cnt, out.data());
+          bench::Consume(out[cnt - 1].value);
+        });
+  };
+  if (Selected("B+tree(scalar)")) {
+    BTree<uint64_t> btree;
+    for (size_t i = 0; i < n; ++i) btree.Insert(ints[i], i + 1);
+    sweep("B+tree(scalar)", btree);
+  }
+  if (Selected("CompactBTree")) {
+    std::vector<MergeEntry<uint64_t, uint64_t>> entries(n);
+    for (size_t i = 0; i < n; ++i) entries[i] = {ints[i], i + 1, false};
+    CompactBTree<uint64_t> tree;
+    tree.Build(std::move(entries));
+    sweep("CompactBTree", tree);
+  }
+  if (Selected("OlcHybrid")) {
+    // The served configuration, merged down so the static stage holds the
+    // keys, as on a read-mostly server.
+    ConcurrentHybridConfig cfg;
+    cfg.unique = false;
+    OlcConcurrentHybridBTree<uint64_t> hybrid(cfg);
+    for (size_t i = 0; i < n; ++i) IndexInsert(hybrid, ints[i], i + 1);
+    hybrid.Merge();
+    sweep("OlcHybrid", hybrid);
+  }
 }
 
 /// Pipeline-occupancy counters from the FST kernel (populated only in

@@ -1,7 +1,7 @@
 // Figure 4.7 — SuRF Scalability: aggregate point-query throughput with 1-4
-// threads (SuRF is read-only and lock-free). NOTE: this container exposes a
-// single CPU core, so near-flat scaling here reflects the hardware, not the
-// data structure; the paper shows near-perfect scaling on 10 physical cores.
+// threads (SuRF is read-only and lock-free). Scaling past the number of
+// visible cores (printed at the end) reflects the hardware, not the data
+// structure; the paper shows near-perfect scaling on 10 physical cores.
 #include <cstdio>
 #include <thread>
 
@@ -41,7 +41,7 @@ int main() {
     double mops = q / timer.ElapsedSeconds() / 1e6;
     std::printf("%8d %14.2f\n", threads, mops);
   }
-  std::printf("  (hardware: %u core(s) visible — scaling is capped by the container)\n",
+  std::printf("  (hardware: %u core(s) visible — scaling is capped there)\n",
               std::thread::hardware_concurrency());
   return 0;
 }

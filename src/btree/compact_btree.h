@@ -12,6 +12,11 @@
 // the internal levels reference leaf indices, so they cost 4 bytes per
 // separator regardless of key size.
 //
+// Batched lookup: every key descends the same number of implicit levels,
+// so LookupBatch runs 16 descents one binary-search step at a time in
+// lockstep, prefetching each probe's next comparison key while the others
+// step (the group-prefetching shape of fst_batch.cc, without a state enum).
+//
 // Merge support (Section 5.2.1): MergeApply() appends a sorted run of new
 // entries after the existing sorted entries and restores order with an
 // in-place merge, then rebuilds the implicit internal levels bottom-up.
@@ -23,10 +28,13 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "check/fwd.h"
 #include "common/assert.h"
+#include "common/index_api.h"
+#include "common/prefetch.h"
 #include "prof/memory_breakdown.h"
 
 namespace met {
@@ -271,40 +279,66 @@ class CompactBTree {
   /// candidate separators for the current search range are contiguous, so a
   /// group's children are located by index arithmetic, not pointers.
   size_t LowerBoundIndex(const Key& key) const {
-    size_t lo = 0, hi = store_.size();
-    if (!levels_.empty()) {
-      size_t idx_lo = 0, idx_hi = levels_.back().size();
-      for (size_t l = levels_.size(); l-- > 0;) {
-        const std::vector<uint32_t>& level = levels_[l];
-        // First separator in [idx_lo, idx_hi) whose key is >= `key`.
-        size_t a = idx_lo, b = idx_hi;
-        while (a < b) {
-          size_t mid = (a + b) / 2;
-          if (KeyLess(store_.KeyAt(level[mid]), key))
-            a = mid + 1;
-          else
-            b = mid;
-        }
-        // Descend into the group whose first key precedes `key`.
-        size_t group = (a == idx_lo) ? idx_lo : a - 1;
-        if (l > 0) {
-          idx_lo = group * Fanout;
-          idx_hi = std::min(idx_lo + Fanout, levels_[l - 1].size());
-        } else {
-          lo = group * Fanout;
-          hi = std::min(lo + Fanout, store_.size());
+    Descent d = DescentStart();
+    while (d.lo < d.hi)
+      DescentStep(&d, KeyLess(store_.KeyAt(DescentEntry(d)), key));
+    return d.lo;
+  }
+
+  /// Batched unified lookup (dispatched by met::LookupBatch), fixed-size
+  /// keys only. Every probe descends the same implicit levels, so a group of
+  /// kBatchGroup probes advances one binary-search step per round in
+  /// lockstep; each probe prefetches the key its next step compares against
+  /// (a separator's entry, then the leaf-group midpoints) and, once its
+  /// lower bound is known, its value. The descent is LowerBoundIndex's own
+  /// DescentStep, so results are identical to scalar Lookup; checked builds
+  /// assert that per key.
+  void LookupBatch(const Key* keys, size_t n, LookupResult* out) const
+    requires std::is_same_v<Store, compact_internal::FlatStore<Key, Value>>
+  {
+    const size_t size = store_.size();
+    Descent d[kBatchGroup] = {};
+    size_t e[kBatchGroup] = {};  // d[i]'s next comparison entry
+    for (size_t base = 0; base < n; base += kBatchGroup) {
+      const size_t g = std::min(kBatchGroup, n - base);
+      size_t live = 0;
+      for (size_t i = 0; i < g; ++i) {
+        d[i] = DescentStart();
+        if (d[i].lo < d[i].hi) {
+          e[i] = DescentEntry(d[i]);
+          PrefetchRead(&store_.KeyAt(e[i]));
+          ++live;
         }
       }
+      while (live > 0) {
+        for (size_t i = 0; i < g; ++i) {
+          if (d[i].lo >= d[i].hi) continue;
+          DescentStep(&d[i], KeyLess(store_.KeyAt(e[i]), keys[base + i]));
+          if (d[i].lo < d[i].hi) {
+            e[i] = DescentEntry(d[i]);
+            PrefetchRead(&store_.KeyAt(e[i]));
+          } else {
+            --live;
+            if (d[i].lo < size) PrefetchRead(&store_.ValueAt(d[i].lo));
+          }
+        }
+      }
+      for (size_t i = 0; i < g; ++i) {
+        const size_t idx = d[i].lo;
+        const bool hit =
+            idx < size && KeyEquals(store_.KeyAt(idx), keys[base + i]);
+        out[base + i].found = hit;
+        out[base + i].value = hit ? store_.ValueAt(idx) : 0;
+      }
     }
-    // Final binary search within the leaf group.
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (KeyLess(store_.KeyAt(mid), key))
-        lo = mid + 1;
-      else
-        hi = mid;
+#if MET_CHECK_ENABLED
+    for (size_t i = 0; i < n; ++i) {
+      Value v{};
+      const bool found = Lookup(keys[i], &v);
+      MET_DCHECK(out[i].found == found && (!found || out[i].value == v),
+                 "batched CompactBTree lookup diverged from scalar");
     }
-    return lo;
+#endif
   }
 
   class Iterator {
@@ -387,6 +421,51 @@ class CompactBTree {
 
   static bool KeyLess(KeyView a, const Key& b) { return a < b; }
   static bool KeyEquals(KeyView a, const Key& b) { return a == b; }
+
+  /// Probes per LookupBatch group (the FST kernel's width).
+  static constexpr size_t kBatchGroup = 16;
+
+  /// One lower-bound descent in flight: a binary search over [lo, hi) of
+  /// separator level `level - 1`, or of the leaf array once `level` is 0.
+  /// `first` is where the current range starts. The descent is finished
+  /// when the leaf range is empty; the lower bound is then `lo`.
+  struct Descent {
+    size_t level;
+    size_t first;
+    size_t lo;
+    size_t hi;
+  };
+
+  Descent DescentStart() const {
+    if (levels_.empty()) return Descent{0, 0, 0, store_.size()};
+    return Descent{levels_.size(), 0, 0, levels_.back().size()};
+  }
+
+  /// Entry index of the key the descent's next step compares against: the
+  /// separator at the range midpoint, or the leaf midpoint itself.
+  size_t DescentEntry(const Descent& d) const {
+    const size_t mid = (d.lo + d.hi) / 2;
+    return d.level == 0 ? mid : levels_[d.level - 1][mid];
+  }
+
+  /// Applies one comparison (`less`: the DescentEntry key < the search key).
+  /// When a separator level's search ends, descends into the group whose
+  /// first key precedes the search key (or the range's first group); its
+  /// children are the next Fanout-sized range of the level below.
+  void DescentStep(Descent* d, bool less) const {
+    const size_t mid = (d->lo + d->hi) / 2;
+    if (less)
+      d->lo = mid + 1;
+    else
+      d->hi = mid;
+    if (d->lo < d->hi || d->level == 0) return;
+    const size_t group = d->lo == d->first ? d->first : d->lo - 1;
+    --d->level;
+    const size_t below =
+        d->level == 0 ? store_.size() : levels_[d->level - 1].size();
+    d->first = d->lo = group * Fanout;
+    d->hi = std::min(d->lo + Fanout, below);
+  }
 
   void BuildLevels() {
     levels_.clear();

@@ -241,6 +241,38 @@ class OlcConcurrentHybridIndex {
     return FindBelow(*s, key, value);
   }
 
+  /// Batched point lookup (dispatched by met::LookupBatch): one epoch pin
+  /// and one snapshot load for the whole batch. Each key probes the active
+  /// stage, then the frozen stage, with Lookup's tombstone rules; the keys
+  /// neither decided go to the static stage's batch kernel in groups of
+  /// kBatchGroup, and their results are scattered back.
+  void LookupBatch(const Key* keys, size_t n, LookupResult* out) const {
+    hybrid::EpochGuard g(epoch_);
+    const Snapshot* s = snapshot_.load(std::memory_order_seq_cst);
+    Key pending[kBatchGroup] = {};
+    size_t slot[kBatchGroup] = {};
+    LookupResult below[kBatchGroup];
+    size_t m = 0;
+    auto flush = [&] {
+      met::LookupBatch(*s->stat, pending, m, below);
+      for (size_t j = 0; j < m; ++j) out[slot[j]] = below[j];
+      m = 0;
+    };
+    for (size_t i = 0; i < n; ++i) {
+      Value v = 0;
+      if (s->active->Lookup(keys[i], &v) ||
+          (s->frozen != nullptr && s->frozen->Lookup(keys[i], &v))) {
+        out[i].found = v != kTombstone;
+        out[i].value = out[i].found ? v : 0;
+        continue;
+      }
+      pending[m] = keys[i];
+      slot[m++] = i;
+      if (m == kBatchGroup) flush();
+    }
+    if (m > 0) flush();
+  }
+
   /// Ordered scan across the three stages (active shadows frozen shadows
   /// static). Per-key atomic only (see header): the (frozen, static) pair is
   /// fixed for the whole scan, the active stage is consulted per batch.
@@ -442,6 +474,9 @@ class OlcConcurrentHybridIndex {
     uint64_t version;
   };
 
+  /// Static-stage probes per batch kernel call in LookupBatch.
+  static constexpr size_t kBatchGroup = 16;
+
   static ConcurrentHybridConfig Normalize(ConcurrentHybridConfig c) {
     c.strategy = HybridConfig::MergeStrategy::kMergeAll;  // see header note
     c.use_bloom = false;  // see header note
@@ -609,6 +644,8 @@ static_assert(HasOutcomeMutations<OlcConcurrentHybridBTree<uint64_t>,
                                   uint64_t>);
 static_assert(MutablePointIndex<OlcConcurrentHybridBTree<uint64_t>,
                                 uint64_t>);
+static_assert(HasNativeLookupBatch<OlcConcurrentHybridBTree<uint64_t>,
+                                   uint64_t>);
 
 }  // namespace met
 

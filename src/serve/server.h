@@ -20,9 +20,11 @@
 // Batch coalescing: each shard drains its admission queue in arrival order
 // and gathers consecutive point reads — across *all* connections — into
 // groups of ServerOptions::batch_width, executed through one
-// ShardEngine::GetBatch call. This is what feeds the PR-4 AMAC prefetch
-// kernels at network concurrency: a single client never has to batch its
-// own requests to get batched execution. MULTIGET is decomposed into
+// ShardEngine::GetBatch call. On the memory engine that is the OLC hybrid's
+// native LookupBatch: one epoch pin per batch, and the Compact B+tree
+// static stage's lockstep, prefetching descent for the keys the dynamic
+// stages do not decide. A single client never has to batch its own
+// requests to get batched execution. MULTIGET is decomposed into
 // per-key reads that join the same groups and is reassembled by the
 // connection owner. Any write flushes the pending read group first, so
 // same-connection pipelined read-your-writes holds.

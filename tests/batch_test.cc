@@ -4,7 +4,8 @@
 // counterpart key by key; these tests enforce that promise over hits,
 // misses, prefix keys, duplicate queries, empty inputs and ragged batch
 // sizes, across the FST config matrix (fast/slow rank & select, dense-only,
-// sparse-only) and every SuRF suffix variant.
+// sparse-only) and every SuRF suffix variant, and the Compact B+tree and
+// served OLC hybrid kernels over tree shapes, tombstones and live merges.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -20,8 +21,10 @@
 #include "bitvec/select.h"
 #include "bloom/bloom.h"
 #include "btree/btree.h"
+#include "btree/compact_btree.h"
 #include "common/index_api.h"
 #include "fst/fst.h"
+#include "hybrid/olc_hybrid.h"
 #include "surf/surf.h"
 
 namespace met {
@@ -281,6 +284,118 @@ TEST(BatchTest, GenericLookupBatchFallbackAndDispatch) {
     uint64_t v = 0;
     ASSERT_EQ(fout[i].found, fst.Lookup(q[i], &v)) << i;
   }
+}
+
+static_assert(HasNativeLookupBatch<CompactBTree<uint64_t>, uint64_t>);
+static_assert(!HasNativeLookupBatch<CompactBTree<std::string>, std::string>);
+static_assert(
+    HasNativeLookupBatch<OlcConcurrentHybridBTree<uint64_t>, uint64_t>);
+
+/// Runs `queries` through met::LookupBatch in chunks of `batch` and checks
+/// every result against the index's scalar Lookup.
+template <typename Index>
+void ExpectIntParity(const Index& index, const std::vector<uint64_t>& queries,
+                     size_t batch, const std::string& what) {
+  std::vector<LookupResult> got(queries.size());
+  for (size_t base = 0; base < queries.size(); base += batch) {
+    size_t g = std::min(batch, queries.size() - base);
+    LookupBatch(index, queries.data() + base, g, got.data() + base);
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    uint64_t v = 0;
+    bool found = index.Lookup(queries[i], &v);
+    ASSERT_EQ(got[i].found, found)
+        << what << " key " << queries[i] << " batch " << batch;
+    ASSERT_EQ(got[i].value, found ? v : 0)
+        << what << " key " << queries[i] << " batch " << batch;
+  }
+}
+
+TEST(BatchTest, CompactBTreeShapes) {
+  constexpr size_t kFanout = 32;
+  // Empty, no separator levels, exactly one and just over one leaf group,
+  // and either side of a second separator level.
+  for (size_t size : {size_t{0}, size_t{1}, size_t{7}, kFanout, kFanout + 1,
+                      kFanout * kFanout - 1, kFanout * kFanout + 1,
+                      size_t{5000}}) {
+    std::vector<MergeEntry<uint64_t, uint64_t>> entries;
+    for (uint64_t i = 0; i < size; ++i)
+      entries.push_back({10 * i + 10, i * 7 + 3, false});
+    CompactBTree<uint64_t> tree;
+    tree.Build(std::move(entries));
+
+    std::mt19937_64 rng(size);
+    std::vector<uint64_t> q = {0, 9, 10, 10 * size + 10, ~uint64_t{0}};
+    for (size_t i = 0; i < 1200; ++i) {
+      uint64_t k = 10 * (rng() % (size + 2));
+      q.push_back(rng() % 3 == 0 ? k + 1 + rng() % 9 : k);  // absent : hit
+    }
+    for (size_t i = 0; i < 20; ++i) q.push_back(q[5]);  // repeats in a group
+    const std::string what = "size " + std::to_string(size);
+    for (size_t batch : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                         size_t{1000}, q.size()})
+      ExpectIntParity(tree, q, batch, what);
+
+    LookupResult untouched{true, 42};
+    tree.LookupBatch(q.data(), 0, &untouched);  // n = 0 writes nothing
+    EXPECT_EQ(untouched, (LookupResult{true, 42})) << what;
+  }
+}
+
+/// The served configuration: upsert PUTs, background merges every 512
+/// dynamic entries so a frozen stage is present for much of the run.
+ConcurrentHybridConfig ServedBatchConfig() {
+  ConcurrentHybridConfig cfg;
+  cfg.unique = false;
+  cfg.background_merge = true;
+  cfg.constant_trigger = true;
+  cfg.constant_threshold = 512;
+  return cfg;
+}
+
+TEST(BatchTest, OlcHybridTombstonesAndShadows) {
+  OlcConcurrentHybridBTree<uint64_t> index(ServedBatchConfig());
+  for (uint64_t k = 0; k < 4000; ++k) IndexInsert(index, 2 * k, k + 1);
+  index.Merge();
+  ASSERT_GT(index.StaticEntries(), 0u);
+  // Active-stage tombstones over static keys, updates that shadow static
+  // values, and new keys only the active stage holds.
+  for (uint64_t k = 0; k < 4000; k += 5) IndexRemove(index, 2 * k);
+  for (uint64_t k = 1; k < 4000; k += 7) IndexInsert(index, 2 * k, k + 900000);
+  for (uint64_t k = 0; k < 300; ++k) IndexInsert(index, 2 * k + 1, k + 500000);
+  index.WaitForMergeIdle();
+
+  std::vector<uint64_t> q;
+  for (uint64_t k = 0; k < 8200; ++k) q.push_back(k);
+  q.push_back(~uint64_t{0});
+  for (size_t batch : {size_t{1}, size_t{15}, size_t{16}, size_t{17},
+                       size_t{1000}})
+    ExpectIntParity(index, q, batch, "quiescent");
+}
+
+TEST(BatchTest, OlcHybridDuringBackgroundMerges) {
+  OlcConcurrentHybridBTree<uint64_t> index(ServedBatchConfig());
+  std::mt19937_64 rng(77);
+  constexpr uint64_t kKeys = 20000;
+  std::vector<uint64_t> q(64);
+  size_t merging_batches = 0;
+  for (size_t round = 0; round < 4000 || merging_batches == 0; ++round) {
+    ASSERT_LT(round, size_t{200000}) << "no batch overlapped a merge";
+    // One writer (this thread) and the merge thread: results read back on
+    // this thread must match scalar Lookup whatever stage holds the key.
+    for (int w = 0; w < 8; ++w) {
+      uint64_t k = rng() % kKeys;
+      if (rng() % 4 == 0)
+        IndexRemove(index, k);
+      else
+        IndexInsert(index, k, rng() >> 1);
+    }
+    for (uint64_t& k : q) k = rng() % (kKeys + 100);
+    if (index.MergeInFlight()) ++merging_batches;
+    ExpectIntParity(index, q, 1 + round % 40, "round " + std::to_string(round));
+  }
+  index.WaitForMergeIdle();
+  EXPECT_GT(index.merge_stats().merge_count, 0u);
 }
 
 }  // namespace

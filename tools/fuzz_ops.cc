@@ -16,6 +16,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,7 @@
 #include "check/differential.h"
 #include "check/olc_schedule.h"
 #include "check/skiplist_check.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "fst/fst.h"
 #include "hybrid/hybrid.h"
@@ -164,10 +166,81 @@ DiffResult FstSurfTarget(const std::vector<std::string>& keys, uint64_t seed,
   return res;
 }
 
-/// met::batch target: batched lookups (FST, SuRF, Bloom) must answer a
-/// seeded probe stream bit-identically to the scalar path, across uneven
-/// chunk splits. Checked builds additionally run the kernels' inline parity
-/// asserts, so a divergence aborts with the exact probe.
+ConcurrentHybridConfig OlcHybridFuzzConfig() {
+  ConcurrentHybridConfig cfg;
+  cfg.background_merge = true;
+  cfg.constant_trigger = true;
+  cfg.constant_threshold = 512;
+  return cfg;
+}
+
+/// Integer half of the batch target: CompactBTree<uint64_t> and the served
+/// OLC hybrid (non-unique, background merges racing the probes, so a frozen
+/// stage is often present) against their own scalar Lookup.
+DiffResult IntBatchTarget(const std::vector<std::string>& keys,
+                          uint64_t seed) {
+  DiffResult res;
+  std::vector<uint64_t> ints;
+  for (const std::string& k : keys) ints.push_back(MurmurHash64(k) >> 1);
+  std::sort(ints.begin(), ints.end());
+  ints.erase(std::unique(ints.begin(), ints.end()), ints.end());
+  std::vector<MergeEntry<uint64_t, uint64_t>> entries;
+  for (size_t i = 0; i < ints.size(); ++i)
+    entries.push_back({ints[i], i + 1, false});
+  CompactBTree<uint64_t> tree;
+  tree.Build(std::move(entries));
+  ConcurrentHybridConfig cfg = OlcHybridFuzzConfig();
+  cfg.unique = false;
+  OlcConcurrentHybridBTree<uint64_t> hybrid(cfg);
+
+  Random rng(seed ^ 0x1B7C);
+  auto draw = [&]() -> uint64_t {
+    uint64_t k = ints[rng.Uniform(ints.size())];
+    switch (rng.Uniform(3)) {
+      case 0: return k;
+      case 1: return k + 1;  // absent neighbour (ints are spaced by hash)
+      default: return rng.Next();
+    }
+  };
+  std::vector<uint64_t> q(333);
+  std::vector<LookupResult> out(q.size());
+  auto diverges = [&](const auto& index, const char* name, size_t cnt) {
+    LookupBatch(index, q.data(), cnt, out.data());
+    for (size_t j = 0; j < cnt; ++j) {
+      uint64_t v = 0;
+      bool found = index.Lookup(q[j], &v);
+      if (out[j].found != found || out[j].value != (found ? v : 0)) {
+        res.ok = false;
+        res.message = std::string(name) +
+                      "::LookupBatch diverges from Lookup on key " +
+                      std::to_string(q[j]);
+        return true;
+      }
+    }
+    return false;
+  };
+  constexpr size_t kChunks[] = {1, 5, 16, 17, 64, 333};
+  for (size_t round = 0; round < 4 * ints.size() / 16; ++round) {
+    for (int w = 0; w < 8; ++w) {
+      uint64_t k = draw();
+      if (rng.Uniform(4) == 0)
+        IndexRemove(hybrid, k);
+      else
+        IndexInsert(hybrid, k, rng.Next() >> 1);
+    }
+    size_t cnt = kChunks[round % 6];
+    for (size_t j = 0; j < cnt; ++j) q[j] = draw();
+    if (diverges(tree, "CompactBTree", cnt)) return res;
+    if (diverges(hybrid, "OlcConcurrentHybridBTree", cnt)) return res;
+  }
+  return res;
+}
+
+/// met::batch target: batched lookups (FST, SuRF, Bloom, then the integer
+/// kernels above) must answer a seeded probe stream bit-identically to the
+/// scalar path, across uneven chunk splits. Checked builds additionally run
+/// the kernels' inline parity asserts, so a divergence aborts with the exact
+/// probe.
 DiffResult BatchTarget(const std::vector<std::string>& keys, uint64_t seed) {
   DiffResult res;
   std::vector<uint64_t> values(keys.size());
@@ -239,7 +312,7 @@ DiffResult BatchTarget(const std::vector<std::string>& keys, uint64_t seed) {
       return res;
     }
   }
-  return res;
+  return IntBatchTarget(keys, seed);
 }
 
 DiffResult LsmTarget(const std::vector<std::string>& keys,
@@ -647,14 +720,6 @@ DiffResult ProtoTarget(uint64_t seed) {
 // readers and background merges run concurrently. The interleaving is not
 // replayable op-for-op, so minimization does not apply — the repro line is
 // the (target, seed) pair.
-
-ConcurrentHybridConfig OlcHybridFuzzConfig() {
-  ConcurrentHybridConfig cfg;
-  cfg.background_merge = true;
-  cfg.constant_trigger = true;
-  cfg.constant_threshold = 512;
-  return cfg;
-}
 
 template <typename MakeIndex, typename KeyFn>
 DiffResult OlcScheduleTarget(uint64_t seed, MakeIndex make_index,
