@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <shared_mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -112,17 +113,11 @@ double RunPausePhase(Index* index, size_t num_keys, obs::StallSplit* stalls) {
 
 template <typename Index>
 void RunPauseRow(const char* mode, size_t num_keys) {
-  HybridConfig config;
+  std::conditional_t<std::is_same_v<Index, BlockingHybrid>, HybridConfig,
+                     ConcurrentHybridConfig>
+      config;
   config.min_merge_entries = ~size_t{0};  // manual merges only
-  Index index([&] {
-    if constexpr (std::is_same_v<Index, BlockingHybrid>) {
-      return config;
-    } else {
-      ConcurrentHybridConfig c;
-      static_cast<HybridConfig&>(c) = config;
-      return c;
-    }
-  }());
+  Index index(config);
 
   for (uint64_t i = 0; i < num_keys; ++i) index.Insert(i * 2, i + 1);
   index.Merge();  // static stage now holds the full preload

@@ -166,7 +166,6 @@ class BloomFilter {
   }
 
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Single-component attribution; TotalBytes() == MemoryBytes().
   MemoryBreakdown Breakdown() const {

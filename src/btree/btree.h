@@ -109,11 +109,15 @@ class BTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Iterator over leaf entries in key order.
+  /// Iterator over leaf entries in key order. Lazy Erase can leave a leaf
+  /// empty, so positioning past a leaf's last slot skips to the next leaf
+  /// that holds an entry.
   class Iterator {
    public:
     Iterator() = default;
-    Iterator(const LeafNode* leaf, int slot) : leaf_(leaf), slot_(slot) {}
+    Iterator(const LeafNode* leaf, int slot) : leaf_(leaf), slot_(slot) {
+      SkipExhausted();
+    }
 
     bool Valid() const { return leaf_ != nullptr && slot_ < leaf_->count; }
     const Key& key() const { return leaf_->keys[slot_]; }
@@ -122,13 +126,17 @@ class BTree {
     void Next() {
       if (!Valid()) return;
       ++slot_;
-      if (slot_ >= leaf_->count) {
+      SkipExhausted();
+    }
+
+   private:
+    void SkipExhausted() {
+      while (leaf_ != nullptr && slot_ >= leaf_->count) {
         leaf_ = leaf_->next;
         slot_ = 0;
       }
     }
 
-   private:
     const LeafNode* leaf_ = nullptr;
     int slot_ = 0;
   };
@@ -147,10 +155,7 @@ class BTree {
       n = inner->children[slot];
     }
     const LeafNode* leaf = static_cast<const LeafNode*>(n);
-    int slot = FindLower(leaf->keys, leaf->count, key);
-    Iterator it(leaf, slot);
-    if (slot >= leaf->count) it = Iterator(leaf->next, 0);
-    return it;
+    return Iterator(leaf, FindLower(leaf->keys, leaf->count, key));
   }
 
   /// Scans up to `n` entries starting at the first key >= `key`.
@@ -162,7 +167,6 @@ class BTree {
   }
 
   /// Total memory (nodes + string heap), computed by walking the tree.
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     WalkMemory(root_, &bytes);

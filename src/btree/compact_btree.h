@@ -17,9 +17,10 @@
 // lockstep, prefetching each probe's next comparison key while the others
 // step (the group-prefetching shape of fst_batch.cc, without a state enum).
 //
-// Merge support (Section 5.2.1): MergeApply() appends a sorted run of new
-// entries after the existing sorted entries and restores order with an
-// in-place merge, then rebuilds the implicit internal levels bottom-up.
+// Merge support (Section 5.2.1): the hybrid index overlays its dynamic
+// stage on this tree's entries (hybrid::Overlay, hybrid/merge_core.h) and
+// Build()s a fresh tree from the result; the implicit internal levels are
+// rebuilt bottom-up.
 #ifndef MET_BTREE_COMPACT_BTREE_H_
 #define MET_BTREE_COMPACT_BTREE_H_
 
@@ -39,8 +40,8 @@
 
 namespace met {
 
-/// An entry fed into Build/MergeApply. `deleted` marks a tombstone that
-/// removes the matching key from the static stage during merge.
+/// An entry fed into Build, or into a hybrid merge (hybrid::Overlay), where
+/// `deleted` marks a tombstone that removes the matching key.
 template <typename Key, typename Value>
 struct MergeEntry {
   Key key;
@@ -64,7 +65,6 @@ class FlatStore {
   size_t size() const { return keys_.size(); }
   KeyView KeyAt(size_t i) const { return keys_[i]; }
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
 
   void Append(const Key& k, const Value& v) {
     keys_.push_back(k);
@@ -132,7 +132,6 @@ class BlobStore {
   }
 
   const Value& ValueAt(size_t i) const { return values_[i]; }
-  Value& MutableValueAt(size_t i) { return values_[i]; }
 
   void Append(std::string_view k, const Value& v) {
     blob_.append(k);
@@ -222,55 +221,11 @@ class CompactBTree {
     BuildLevels();
   }
 
-  /// Merges a sorted run of new entries (which may shadow or tombstone
-  /// existing keys) into this tree and rebuilds the internal levels.
-  /// New entries win over existing entries with equal keys.
-  void MergeApply(const std::vector<Entry>& updates) {
-    std::vector<Entry> merged;
-    merged.reserve(store_.size() + updates.size());
-    size_t i = 0, j = 0;
-    while (i < store_.size() || j < updates.size()) {
-      if (j >= updates.size()) {
-        merged.push_back(Entry{Key(store_.KeyAt(i)), store_.ValueAt(i), false});
-        ++i;
-      } else if (i >= store_.size()) {
-        if (!updates[j].deleted) merged.push_back(updates[j]);
-        ++j;
-      } else {
-        KeyView sk = store_.KeyAt(i);
-        const Key& uk = updates[j].key;
-        if (sk < uk) {
-          merged.push_back(Entry{Key(sk), store_.ValueAt(i), false});
-          ++i;
-        } else if (uk < sk) {
-          if (!updates[j].deleted) merged.push_back(updates[j]);
-          ++j;
-        } else {  // equal: update shadows (or deletes) the static entry
-          if (!updates[j].deleted) merged.push_back(updates[j]);
-          ++i;
-          ++j;
-        }
-      }
-    }
-    store_.Assign(std::move(merged));
-    store_.ShrinkToFit();
-    BuildLevels();
-  }
-
   /// Unified point lookup (met::ReadOnlyPointIndex surface).
   bool Lookup(const Key& key, Value* value = nullptr) const {
     size_t idx = LowerBoundIndex(key);
     if (idx >= store_.size() || !(KeyEquals(store_.KeyAt(idx), key))) return false;
     if (value != nullptr) *value = store_.ValueAt(idx);
-    return true;
-  }
-
-  /// Overwrites the value of an existing key in place (used by hybrid
-  /// secondary indexes). Returns false if absent.
-  bool UpdateInPlace(const Key& key, const Value& value) {
-    size_t idx = LowerBoundIndex(key);
-    if (idx >= store_.size() || !(KeyEquals(store_.KeyAt(idx), key))) return false;
-    store_.MutableValueAt(idx) = value;
     return true;
   }
 
@@ -381,7 +336,6 @@ class CompactBTree {
   size_t size() const { return store_.size(); }
   bool empty() const { return store_.size() == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = store_.MemoryBytes();
     for (const auto& level : levels_) bytes += level.capacity() * sizeof(uint32_t);

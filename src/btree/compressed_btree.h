@@ -56,26 +56,6 @@ class CompressedBTree {
     cache_.Reset(pages_.size());
   }
 
-  void MergeApply(const std::vector<Entry>& updates) {
-    std::vector<Entry> all = DecodeAll();
-    std::vector<Entry> merged;
-    merged.reserve(all.size() + updates.size());
-    size_t i = 0, j = 0;
-    while (i < all.size() || j < updates.size()) {
-      if (j >= updates.size() || (i < all.size() && all[i].key < updates[j].key)) {
-        merged.push_back(std::move(all[i++]));
-      } else if (i >= all.size() || updates[j].key < all[i].key) {
-        if (!updates[j].deleted) merged.push_back(updates[j]);
-        ++j;
-      } else {
-        if (!updates[j].deleted) merged.push_back(updates[j]);
-        ++i;
-        ++j;
-      }
-    }
-    Build(std::move(merged));
-  }
-
   /// Unified point lookup (met::ReadOnlyPointIndex surface).
   bool Lookup(const Key& key, Value* value = nullptr) const {
     if (pages_.empty()) return false;
@@ -135,24 +115,9 @@ class CompressedBTree {
     return cnt;
   }
 
-  /// Streams all entries in order (decompressing page by page).
-  std::vector<Entry> DecodeAll() const {
-    std::vector<Entry> all;
-    all.reserve(size_);
-    for (size_t p = 0; p < pages_.size(); ++p) {
-      std::vector<Entry> entries =
-          DeserializePage(compressed_internal::Inflate(pages_[p].blob,
-                                                       pages_[p].raw_size),
-                          pages_[p].count);
-      for (auto& e : entries) all.push_back(std::move(e));
-    }
-    return all;
-  }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& p : pages_) bytes += p.blob.capacity();

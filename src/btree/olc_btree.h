@@ -278,7 +278,6 @@ class OlcBTree {
   size_t size() const { return size_.load(std::memory_order_relaxed); }
   bool empty() const { return size() == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     return inner_nodes_.load(std::memory_order_relaxed) * sizeof(Inner) +
            leaf_nodes_.load(std::memory_order_relaxed) * sizeof(LeafNode);

@@ -24,6 +24,7 @@
 
 #include "common/index_api.h"
 #include "common/random.h"
+#include "hybrid/merge_core.h"
 #include "keys/keygen.h"
 
 namespace met {
@@ -401,10 +402,27 @@ class OutcomeHybridDiffAdapter {
 };
 
 // ---------------------------------------------------------------------------
-// Static merge structures (CompactBTree / CompressedBTree / CompactSkipList):
-// ops are batched into sorted MergeEntry runs (erase => tombstone); reads are
-// checked against the already-merged state.
+// Static merge structures (CompactBTree / CompressedBTree / CompactSkipList,
+// the trie stage shims): ops are batched into sorted MergeEntry runs (erase
+// => tombstone) and merged the hybrid index's way, hybrid::Overlay then
+// Build; reads are checked against the already-merged state.
 // ---------------------------------------------------------------------------
+
+/// Up to `n` values from keys >= `from`: through the tree's own Scan where it
+/// has one, else through ScanPairs (the trie stage shims).
+template <typename StaticTree>
+std::vector<uint64_t> StaticScanValues(const StaticTree& tree,
+                                       const std::string& from, size_t n) {
+  std::vector<uint64_t> vals;
+  if constexpr (requires { tree.Scan(from, n, &vals); }) {
+    tree.Scan(from, n, &vals);
+  } else {
+    std::vector<std::pair<std::string, uint64_t>> pairs;
+    tree.ScanPairs(from, n, &pairs);
+    for (const auto& p : pairs) vals.push_back(p.second);
+  }
+  return vals;
+}
 
 template <typename StaticTree>
 DiffResult RunStaticMergeOps(StaticTree& tree,
@@ -414,7 +432,7 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
   using Entry = typename StaticTree::Entry;
   DiffResult res;
   std::map<std::string, uint64_t> merged;  // state the tree has absorbed
-  std::map<std::string, Entry> pending;    // next MergeApply batch, last wins
+  std::map<std::string, Entry> pending;    // next merge batch, last wins
   auto fail = [&](size_t i, std::string msg) {
     res.ok = false;
     res.failed_op = i;
@@ -426,7 +444,7 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
     std::vector<Entry> updates;
     updates.reserve(pending.size());
     for (const auto& kv : pending) updates.push_back(kv.second);
-    tree.MergeApply(updates);
+    tree.Build(hybrid::Overlay(tree, std::move(updates)));
     for (const auto& kv : pending) {
       if (kv.second.deleted) merged.erase(kv.first);
       else merged[kv.first] = kv.second.value;
@@ -452,11 +470,19 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
         return;
       }
     }
-    std::vector<uint64_t> got_vals;
-    tree.Scan(std::string(), merged.size() + 1, &got_vals);
+    std::vector<std::pair<std::string, uint64_t>> got_pairs;
+    tree.ScanPairs(std::string(), merged.size() + 1, &got_pairs);
+    if (!std::equal(got_pairs.begin(), got_pairs.end(), merged.begin(),
+                    merged.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first && a.second == b.second;
+                    })) {
+      fail(i, "post-merge ScanPairs diverges");
+      return;
+    }
     std::vector<uint64_t> want_vals;
     for (const auto& kv : merged) want_vals.push_back(kv.second);
-    if (got_vals != want_vals) fail(i, "post-merge full scan diverges");
+    if (StaticScanValues(tree, std::string(), merged.size() + 1) != want_vals)
+      fail(i, "post-merge full scan diverges");
   };
 
   for (size_t i = 0; i < ops.size() && res.ok; ++i) {
@@ -485,8 +511,8 @@ DiffResult RunStaticMergeOps(StaticTree& tree,
         break;
       }
       case DiffOp::kScan: {
-        std::vector<uint64_t> got_vals;
-        tree.Scan(k, op.scan_len, &got_vals);
+        std::vector<uint64_t> got_vals =
+            StaticScanValues(tree, k, op.scan_len);
         std::vector<uint64_t> want_vals;
         for (auto it = merged.lower_bound(k);
              it != merged.end() && want_vals.size() < op.scan_len; ++it)

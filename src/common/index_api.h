@@ -3,11 +3,11 @@
 // entry point.
 //
 // Terminology (aligned across the whole library):
-//   Lookup    — exact point lookup:  bool Lookup(key, Value* out = nullptr)
-//   Insert    — unique insert (false on duplicate)
-//   Erase     — point delete
-//   Scan      — ordered scan of up to n values from lower_bound(key)
-//   MemoryUse — total structure footprint in bytes (alias of MemoryBytes)
+//   Lookup      — exact point lookup:  bool Lookup(key, Value* out = nullptr)
+//   Insert      — unique insert (false on duplicate)
+//   Erase       — point delete
+//   Scan        — ordered scan of up to n values from lower_bound(key)
+//   MemoryBytes — total structure footprint in bytes
 //
 // Key convention: string-keyed structures (ART, Masstree, HOT, FST, SuRF,
 // the prefix B+tree) take std::string_view; the generic template trees
@@ -86,7 +86,7 @@ template <typename T, typename K, typename V = uint64_t>
 concept ReadOnlyPointIndex =
     requires(const T& t, const K& k, V* vp) {
       { t.Lookup(k, vp) } -> std::convertible_to<bool>;
-      { t.MemoryUse() } -> std::convertible_to<size_t>;
+      { t.MemoryBytes() } -> std::convertible_to<size_t>;
       { t.size() } -> std::convertible_to<size_t>;
     };
 
@@ -184,13 +184,13 @@ concept MutablePointIndex =
 template <typename T, typename K = std::string_view>
 concept Filter = requires(const T& t, const K& k) {
   { t.MayContain(k) } -> std::convertible_to<bool>;
-  { t.MemoryUse() } -> std::convertible_to<size_t>;
+  { t.MemoryBytes() } -> std::convertible_to<size_t>;
 };
 
 /// Component-level memory attribution: Breakdown() returns a MemoryBreakdown
-/// tree whose TotalBytes() equals MemoryUse()/MemoryBytes() exactly — both
-/// are computed from the same primitives, and tests/prof_test.cc holds every
-/// structure to the equality. Cold-path only (walks the structure).
+/// tree whose TotalBytes() equals MemoryBytes() exactly — both are computed
+/// from the same primitives, and tests/prof_test.cc holds every structure to
+/// the equality. Cold-path only (walks the structure).
 template <typename T>
 concept HasMemoryBreakdown = requires(const T& t) {
   { t.Breakdown() } -> std::convertible_to<MemoryBreakdown>;

@@ -175,7 +175,6 @@ class Fst {
 
   /// Total encoded size (bit/byte sequences + rank/select LUTs + values).
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Appends a self-contained binary image of the trie to `*out`. Rank and
   /// select supports are rebuilt on load, so the format stays small and

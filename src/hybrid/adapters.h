@@ -2,10 +2,10 @@
 // HybridIndex expects (Section 5.1's Dual-Stage Transformation, step 4).
 //
 // Dynamic stages wrap BTree / SkipList / Art / Masstree.
-// Static stages wrap CompactBTree / CompactSkipList / CompressedBTree
-// (which implement MergeApply natively) and CompactArt / CompactMasstree
-// (merged by streaming the sorted entries and rebuilding, the recursive
-// trie-merge equivalent of Section 5.2.1 — same linear cost).
+// Static stages are CompactBTree / CompactSkipList / CompressedBTree used
+// directly, and CompactArt / CompactMasstree behind a shim. Every static
+// stage merges the same way: hybrid::Overlay (merge_core.h) reads it through
+// ScanPairs and the stage is rebuilt with Build.
 #ifndef MET_HYBRID_ADAPTERS_H_
 #define MET_HYBRID_ADAPTERS_H_
 
@@ -108,8 +108,8 @@ using DynMasstreeStage = TrieDynStage<Masstree>;
 // ---------------------------------------------------------------------------
 
 /// CompactBTree / CompactSkipList / CompressedBTree already expose the full
-/// static-stage interface (Find / size / MemoryBytes / MergeApply /
-/// ScanPairs), so they are used directly.
+/// static-stage interface (Lookup / size / MemoryBytes / Build / ScanPairs),
+/// so they are used directly.
 template <typename Key>
 using StatCompactBTreeStage = CompactBTree<Key>;
 
@@ -119,7 +119,7 @@ using StatCompactSkipListStage = CompactSkipList<Key>;
 template <typename Key>
 using StatCompressedBTreeStage = CompressedBTree<Key>;
 
-/// Rebuild-merging shim for the compact trie structures.
+/// Static-stage shim for the compact trie structures.
 template <typename Tree>
 class TrieStatStage {
  public:
@@ -141,40 +141,15 @@ class TrieStatStage {
     return vals.size();
   }
 
-  /// Streams the current sorted entries, merges in the updates (new entries
-  /// shadow, tombstones delete) and rebuilds the trie.
-  void MergeApply(const std::vector<Entry>& updates) {
+  /// Builds from sorted, unique, live entries.
+  void Build(std::vector<Entry>&& entries) {
     std::vector<std::string> keys;
     std::vector<Value> values;
-    keys.reserve(tree_.size() + updates.size());
-    values.reserve(tree_.size() + updates.size());
-    size_t j = 0;
-    tree_.VisitAll([&](std::string_view k, Value v) {
-      // Emit pending updates with keys < k.
-      while (j < updates.size() && updates[j].key < k) {
-        if (!updates[j].deleted) {
-          keys.emplace_back(updates[j].key);
-          values.push_back(updates[j].value);
-        }
-        ++j;
-      }
-      if (j < updates.size() && updates[j].key == k) {
-        if (!updates[j].deleted) {  // shadow
-          keys.emplace_back(updates[j].key);
-          values.push_back(updates[j].value);
-        }
-        ++j;
-        return;
-      }
-      keys.emplace_back(k);
-      values.push_back(v);
-    });
-    while (j < updates.size()) {
-      if (!updates[j].deleted) {
-        keys.emplace_back(updates[j].key);
-        values.push_back(updates[j].value);
-      }
-      ++j;
+    keys.reserve(entries.size());
+    values.reserve(entries.size());
+    for (auto& e : entries) {
+      keys.push_back(std::move(e.key));
+      values.push_back(e.value);
     }
     tree_.Build(keys, values);
   }

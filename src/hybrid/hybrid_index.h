@@ -7,11 +7,12 @@
 // Deletes of static-stage entries insert a tombstone into the dynamic stage
 // (value == kTombstone); the key is physically removed at the next merge.
 //
-// Stage interfaces (duck-typed):
-//   Dynamic: Insert/InsertOrAssign/Find/Update/Erase/Clear/size/MemoryBytes
-//            + ScanPairs via adapter traits below.
-//   Static:  Find/size/MemoryBytes/MergeApply(sorted MergeEntry vector)
-//            + ScanPairs.
+// Stage interfaces (duck-typed; hybrid/adapters.h):
+//   Dynamic: Insert/InsertOrAssign/Lookup/Update/Erase/Clear/size/
+//            MemoryBytes/ScanPairs.
+//   Static:  Lookup/size/MemoryBytes/ScanPairs/Build(sorted, unique, live
+//            MergeEntry vector). A merge overlays the dynamic entries on the
+//            static stage's ScanPairs (hybrid::Overlay) and Builds the result.
 #ifndef MET_HYBRID_HYBRID_INDEX_H_
 #define MET_HYBRID_HYBRID_INDEX_H_
 
@@ -52,18 +53,30 @@ struct HybridObsMetrics {
   }
 };
 
-struct HybridConfig {
+/// When a merge is due (Section 5.2.2); shared by HybridIndex and the
+/// concurrent hybrid (olc_hybrid.h).
+struct MergeTrigger {
   /// Merge when dynamic_entries * merge_ratio >= static_entries (and the
   /// dynamic stage holds at least min_merge_entries). Ratio 10 is the
   /// default chosen by the Figure 5.7 sensitivity analysis.
   double merge_ratio = 10.0;
   size_t min_merge_entries = 4096;
 
-  /// Constant trigger alternative (Section 5.2.2): merge whenever the
-  /// dynamic stage reaches `constant_threshold` entries.
+  /// Constant trigger alternative: merge whenever the dynamic stage reaches
+  /// `constant_threshold` entries.
   bool constant_trigger = false;
   size_t constant_threshold = 65536;
 
+  bool MergeDue(size_t dynamic_entries, size_t static_entries) const {
+    if (dynamic_entries == 0) return false;
+    if (constant_trigger) return dynamic_entries >= constant_threshold;
+    return dynamic_entries >= min_merge_entries &&
+           static_cast<double>(dynamic_entries) * merge_ratio >=
+               static_cast<double>(static_entries);
+  }
+};
+
+struct HybridConfig : MergeTrigger {
   bool use_bloom = true;
   double bloom_bits_per_key = 10.0;
 
@@ -213,7 +226,7 @@ class HybridIndex {
     if (config_.strategy == HybridConfig::MergeStrategy::kMergeCold)
       hybrid::SplitHotCold(&entries, hot_keys_, &hot);
 
-    static_.MergeApply(entries);
+    static_.Build(hybrid::Overlay(static_, std::move(entries)));
     dynamic_.Clear();
     BloomReset();
     for (auto& [k, v] : hot) {
@@ -235,7 +248,6 @@ class HybridIndex {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t bytes = dynamic_.MemoryBytes() + static_.MemoryBytes();
     if (bloom_ != nullptr) bytes += bloom_->MemoryBytes();
@@ -282,15 +294,7 @@ class HybridIndex {
     if (config_.strategy == HybridConfig::MergeStrategy::kMergeCold &&
         ops_since_merge_ < config_.min_merge_entries / 2)
       return;
-    size_t dyn = dynamic_.size();
-    if (config_.constant_trigger) {
-      if (dyn >= config_.constant_threshold) Merge();
-      return;
-    }
-    if (dyn < config_.min_merge_entries) return;
-    if (static_cast<double>(dyn) * config_.merge_ratio >=
-        static_cast<double>(static_.size()))
-      Merge();
+    if (config_.MergeDue(dynamic_.size(), static_.size())) Merge();
   }
 
   // ---- Bloom management: sized to the expected dynamic-stage population,

@@ -1,14 +1,14 @@
 // Merge and scan machinery shared by the blocking HybridIndex and the
 // concurrent epoch-swapped variant (olc_hybrid.h): key helpers,
 // sorted-entry collection, a k-way merged scan with shadow/tombstone
-// resolution and refetching, and off-critical-path static-stage rebuilds.
+// resolution and refetching, and the one overlay every static-stage merge
+// feeds to the stage's Build.
 #ifndef MET_HYBRID_MERGE_CORE_H_
 #define MET_HYBRID_MERGE_CORE_H_
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -143,41 +143,43 @@ size_t MergedScan(const Key& key, size_t n, Value tombstone,
   }
 }
 
-/// Builds a brand-new static stage holding `base` overlaid with the sorted
-/// `updates` (new entries shadow, tombstones delete). `base` is read only
-/// through its const ScanPairs interface, so the rebuild can run while
-/// concurrent readers keep using `base` — the heart of the non-blocking
-/// merge. The merged live stream is applied to a default-constructed stage,
-/// for which MergeApply degenerates to a bulk build; this sidesteps any need
-/// for the stage to be copyable (CompactArt / CompactMasstree are not).
-template <typename StaticStage, typename Key, typename Value>
-std::shared_ptr<StaticStage> BuildMergedStatic(
-    const StaticStage& base, const std::vector<MergeEntry<Key, Value>>& updates) {
-  std::vector<std::pair<Key, Value>> base_pairs;
-  base_pairs.reserve(base.size());
-  base.ScanPairs(MinKey<Key>(), base.size(), &base_pairs);
-
-  std::vector<MergeEntry<Key, Value>> merged;
-  merged.reserve(base_pairs.size() + updates.size());
+/// The hybrid index's one merge rule (Section 5.2.1): the sorted, unique
+/// `updates` overlaid on `base`'s entries. An update replaces the base entry
+/// with its key and a deleted update drops it. Returns the sorted, unique,
+/// live entries, ready for the stage's Build. `base` is read a chunk at a
+/// time through its const ScanPairs, so the concurrent hybrid can rebuild
+/// from a static stage that readers are still probing.
+template <typename Key, typename Value, typename Stage>
+std::vector<MergeEntry<Key, Value>> Overlay(
+    const Stage& base, std::vector<MergeEntry<Key, Value>> updates) {
+  constexpr size_t kChunk = 4096;
+  std::vector<MergeEntry<Key, Value>> out;
+  out.reserve(base.size() + updates.size());
   size_t j = 0;
-  for (auto& p : base_pairs) {
-    while (j < updates.size() && updates[j].key < p.first) {
-      if (!updates[j].deleted) merged.push_back(updates[j]);
-      ++j;
+  auto take_update = [&] {
+    if (!updates[j].deleted) out.push_back(std::move(updates[j]));
+    ++j;
+  };
+  std::vector<std::pair<Key, Value>> chunk;
+  Key from = MinKey<Key>();
+  size_t first = 0;  // later chunks restart at the previous chunk's last key
+  for (bool more = true; more;) {
+    chunk.clear();
+    base.ScanPairs(from, kChunk, &chunk);
+    more = chunk.size() == kChunk;
+    if (more) from = chunk.back().first;
+    for (size_t i = first; i < chunk.size(); ++i) {
+      auto& [key, value] = chunk[i];
+      while (j < updates.size() && updates[j].key < key) take_update();
+      if (j < updates.size() && updates[j].key == key)
+        take_update();  // shadows or deletes the base entry
+      else
+        out.push_back({std::move(key), value, false});
     }
-    if (j < updates.size() && updates[j].key == p.first) {
-      if (!updates[j].deleted) merged.push_back(updates[j]);  // shadow
-      ++j;
-      continue;
-    }
-    merged.push_back({std::move(p.first), p.second, false});
+    first = 1;
   }
-  for (; j < updates.size(); ++j)
-    if (!updates[j].deleted) merged.push_back(updates[j]);
-
-  auto fresh = std::make_shared<StaticStage>();
-  fresh->MergeApply(merged);
-  return fresh;
+  while (j < updates.size()) take_update();
+  return out;
 }
 
 }  // namespace hybrid

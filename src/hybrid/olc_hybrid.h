@@ -20,8 +20,9 @@
 //             epoch <= tag (pins ordered after the retire observe the new
 //             snapshot; see epoch.h). Once those pins drain the frozen
 //             stage is quiescent and includes every routed write.
-//   drain   — frozen + old static are merged into a brand-new static stage
-//             (hybrid::BuildMergedStatic) while readers and writers proceed.
+//   drain   — the frozen entries are overlaid on the old static stage
+//             (hybrid::Overlay) and Built into a brand-new static stage
+//             while readers and writers proceed.
 //   publish — the drainer (still the sole snapshot swapper while
 //             merge_inflight_) swaps in a snapshot with the merged static
 //             stage and no frozen stage. O(1); the old snapshot is retired
@@ -39,14 +40,11 @@
 // not a point-in-time snapshot of the whole index: it sees a fixed (frozen,
 // static) pair plus the active stage as of each batch fetch.
 //
-// ConcurrentHybridConfig is normalized on construction:
-//   - kMergeCold becomes kMergeAll: re-inserting the hot set would put
-//     O(hot) work back on the publish path, and hot-tracking from the read
-//     path would race.
-//   - use_bloom is cleared: filter maintenance would reintroduce a writer
-//     ordering point, and the OLC stage makes negative probes cheap (a
-//     descent with no lock traffic).
-// Use the blocking HybridIndex when either matters more than concurrency.
+// There is no Bloom filter and no merge-cold strategy (the HybridIndex
+// options): filter maintenance would reintroduce a writer ordering point
+// while an OLC negative probe is a lock-free descent, and re-inserting a hot
+// set would put O(hot) work back on the publish path. Use the blocking
+// HybridIndex when either matters more than concurrency.
 //
 // Static stages must be safe for concurrent const reads. CompactBTree
 // qualifies (pure const probes); CompressedBTree does not (mutable
@@ -78,7 +76,11 @@
 
 namespace met {
 
-struct ConcurrentHybridConfig : HybridConfig {
+struct ConcurrentHybridConfig : MergeTrigger {
+  /// Insert over a live key returns kExists; when false it replaces the
+  /// value instead (the served configuration: PUT is an upsert).
+  bool unique = true;
+
   /// Drain merges on a background thread (production mode). When false the
   /// writer whose mutation triggered the merge drains synchronously once it
   /// has released its epoch pin: fully deterministic, which the differential
@@ -125,7 +127,7 @@ class OlcConcurrentHybridIndex {
   static constexpr Value kTombstone = ~Value{0};
 
   explicit OlcConcurrentHybridIndex(const ConcurrentHybridConfig& config = {})
-      : config_(Normalize(config)) {
+      : config_(config) {
     snapshot_.store(new Snapshot{std::make_shared<DynamicStage>(), nullptr,
                                  std::make_shared<const StaticStage>(), 0},
                     std::memory_order_seq_cst);
@@ -344,7 +346,6 @@ class OlcConcurrentHybridIndex {
   size_t size() const { return size_.load(std::memory_order_relaxed); }
   bool empty() const { return size() == 0; }
 
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     hybrid::EpochGuard g(epoch_);
     const Snapshot* s = snapshot_.load(std::memory_order_seq_cst);
@@ -477,12 +478,6 @@ class OlcConcurrentHybridIndex {
   /// Static-stage probes per batch kernel call in LookupBatch.
   static constexpr size_t kBatchGroup = 16;
 
-  static ConcurrentHybridConfig Normalize(ConcurrentHybridConfig c) {
-    c.strategy = HybridConfig::MergeStrategy::kMergeAll;  // see header note
-    c.use_bloom = false;  // see header note
-    return c;
-  }
-
   /// Point probe below the active stage: frozen (tombstones delete), then
   /// static. Caller holds an epoch pin.
   static bool FindBelow(const Snapshot& s, const Key& key, Value* value) {
@@ -505,16 +500,7 @@ class OlcConcurrentHybridIndex {
   /// releasing it.
   bool MaybeStartMerge(const Snapshot& s, uint64_t* tag) {
     if (merge_inflight_.load(std::memory_order_seq_cst)) return false;
-    size_t dyn = s.active->size();
-    if (dyn == 0) return false;
-    if (config_.constant_trigger) {
-      if (dyn < config_.constant_threshold) return false;
-    } else {
-      if (dyn < config_.min_merge_entries) return false;
-      if (static_cast<double>(dyn) * config_.merge_ratio <
-          static_cast<double>(s.stat->size()))
-        return false;
-    }
+    if (!config_.MergeDue(s.active->size(), s.stat->size())) return false;
     if (merge_inflight_.exchange(true, std::memory_order_seq_cst))
       return false;  // another writer claimed it first
     *tag = Freeze();
@@ -584,7 +570,8 @@ class OlcConcurrentHybridIndex {
       hybrid::CollectSortedEntries<Key, Value>(*s->frozen, kTombstone,
                                                &entries);
       drained = entries.size();
-      next_stat = hybrid::BuildMergedStatic<StaticStage>(*s->stat, entries);
+      next_stat = std::make_shared<StaticStage>();
+      next_stat->Build(hybrid::Overlay(*s->stat, std::move(entries)));
     }
     uint64_t drain_ns = drain_timer.ElapsedNanos();
 

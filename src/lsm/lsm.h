@@ -205,7 +205,6 @@ class LsmTree {
   /// Total resident (in-memory) footprint: memtable, per-table metadata and
   /// fence indexes, filters, and the block cache. Excludes DiskBytes().
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution; TotalBytes() == MemoryBytes() (same terms).
   MemoryBreakdown Breakdown() const;

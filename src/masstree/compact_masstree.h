@@ -42,7 +42,6 @@ class CompactMasstree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution; TotalBytes() == MemoryBytes() (same walk).
   MemoryBreakdown Breakdown() const;

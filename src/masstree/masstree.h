@@ -86,7 +86,6 @@ class Masstree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution; TotalBytes() == MemoryBytes() (same walk).
   MemoryBreakdown Breakdown() const;

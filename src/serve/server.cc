@@ -5,6 +5,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <deque>
 #include <thread>
@@ -188,6 +189,10 @@ namespace {
 /// epoll user-data tag for the shard's eventfd (connections use slot|gen).
 constexpr uint64_t kEventFdTag = ~uint64_t{0};
 
+/// Consecutive point reads coalesced into one ShardEngine::GetBatch call:
+/// the memory engine's LookupBatch group width.
+constexpr size_t kReadGroup = 16;
+
 uint64_t ConnTag(uint32_t slot, uint32_t gen) {
   return (static_cast<uint64_t>(gen) << 32) | slot;
 }
@@ -289,9 +294,9 @@ struct Shard {
   // ---- owner-thread scratch, reused across iterations ----
   std::vector<std::vector<WorkItem>> route_scratch;      // per target shard
   std::vector<std::vector<Completion>> out_completions;  // per owner shard
-  std::vector<uint64_t> batch_keys;
-  std::vector<WorkItem> batch_items;
-  std::vector<LookupResult> batch_results;
+  std::array<uint64_t, kReadGroup> batch_keys;
+  std::array<WorkItem, kReadGroup> batch_items;
+  std::array<LookupResult, kReadGroup> batch_results;
   std::vector<PendingAck> write_acks;
   std::vector<uint64_t> scan_scratch;
 };
@@ -703,8 +708,6 @@ struct Server::Impl {
   void ExecuteChunk(Shard* s) {
     const size_t chunk = s->run_queue.size();
     metrics.queue_depth->Record(chunk);
-    const size_t width =
-        opts.coalesce_reads ? std::max<size_t>(opts.batch_width, 1) : 1;
     size_t nb = 0;
     bool dirty = false;
     s->write_acks.clear();
@@ -732,7 +735,7 @@ struct Server::Impl {
           }
           s->batch_keys[nb] = item.key;
           s->batch_items[nb] = item;
-          if (++nb == width) {
+          if (++nb == kReadGroup) {
             FlushReadGroup(s, nb);
             nb = 0;
           }
@@ -1079,10 +1082,6 @@ struct Server::Impl {
       MET_ASSERT(epoll_ctl(s->epoll_fd, EPOLL_CTL_ADD, s->event_fd, &ev) == 0);
       s->route_scratch.resize(n);
       s->out_completions.resize(n);
-      size_t width = std::max<size_t>(opts.batch_width, 1);
-      s->batch_keys.resize(width);
-      s->batch_items.resize(width);
-      s->batch_results.resize(width);
       shards.push_back(std::move(s));
     }
     for (auto& s : shards)

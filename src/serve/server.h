@@ -19,7 +19,7 @@
 //
 // Batch coalescing: each shard drains its admission queue in arrival order
 // and gathers consecutive point reads — across *all* connections — into
-// groups of ServerOptions::batch_width, executed through one
+// groups of up to 16 (kReadGroup in server.cc), executed through one
 // ShardEngine::GetBatch call. On the memory engine that is the OLC hybrid's
 // native LookupBatch: one epoch pin per batch, and the Compact B+tree
 // static stage's lockstep, prefetching descent for the keys the dynamic
@@ -124,8 +124,6 @@ struct ServerOptions {
   /// Per-shard admission bound in guard cost units (a plain GET costs 1,
   /// so for GET-only traffic this is the old per-request bound).
   size_t queue_capacity = 4096;
-  size_t batch_width = 16;     // read-coalescing group size
-  bool coalesce_reads = true;  // false = execute reads one by one
   /// CoDel-style standing queue-delay target and measurement interval for
   /// the per-shard admission controller (guard/admission.h).
   uint64_t delay_target_us = 5000;

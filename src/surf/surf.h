@@ -79,7 +79,6 @@ class Surf {
 
   size_t num_keys() const { return fst_.num_keys(); }
   size_t MemoryBytes() const;
-  size_t MemoryUse() const { return MemoryBytes(); }
 
   /// Component attribution (truncated-FST filter + suffix words);
   /// TotalBytes() == MemoryBytes() (same terms).

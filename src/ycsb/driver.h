@@ -119,7 +119,6 @@ class ShardedIndex {
     for (const auto& s : shards_) n += s->size();
     return n;
   }
-  size_t MemoryUse() const { return MemoryBytes(); }
   size_t MemoryBytes() const {
     size_t n = 0;
     for (const auto& s : shards_) n += s->MemoryBytes();

@@ -7,6 +7,7 @@
 #include "btree/btree.h"
 #include "btree/compact_btree.h"
 #include "common/random.h"
+#include "hybrid/merge_core.h"
 #include "keys/keygen.h"
 #include "gtest/gtest.h"
 
@@ -94,6 +95,26 @@ TEST(BTreeTest, LowerBoundScan) {
   EXPECT_FALSE(it.Valid());
 }
 
+// Erase never rebalances, so a run of erases can empty whole leaves; scans
+// and LowerBound must step over them.
+TEST(BTreeTest, ScanSkipsEmptiedLeaves) {
+  BTree<uint64_t> tree;
+  for (uint64_t k = 0; k < 1000; ++k) tree.Insert(k, k);
+  for (uint64_t k = 300; k < 700; ++k) ASSERT_TRUE(tree.Erase(k));
+  std::vector<uint64_t> out;
+  EXPECT_EQ(tree.Scan(0, 1000, &out), 600u);
+  ASSERT_EQ(out.size(), 600u);
+  EXPECT_EQ(out[299], 299u);
+  EXPECT_EQ(out[300], 700u);
+  auto it = tree.LowerBound(450);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), 700u);
+  for (uint64_t k = 0; k < 300; ++k) ASSERT_TRUE(tree.Erase(k));
+  it = tree.Begin();
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), 700u);
+}
+
 TEST(BTreeTest, StringKeys) {
   BTree<std::string> tree;
   std::vector<std::string> keys = GenEmails(5000);
@@ -175,25 +196,69 @@ TEST(CompactBTreeTest, LowerBoundMatchesStd) {
     EXPECT_EQ(tree.LowerBoundIndex(keys[i]), i);
 }
 
-TEST(CompactBTreeTest, MergeApplyShadowAndTombstone) {
-  CompactBTree<uint64_t> tree;
-  tree.Build(MakeEntries(std::vector<uint64_t>{10, 20, 30, 40, 50}));
-  std::vector<MergeEntry<uint64_t, uint64_t>> updates = {
-      {5, 100, false},   // new key before all
-      {20, 200, false},  // shadows existing
-      {30, 0, true},     // tombstone removes 30
-      {60, 300, false},  // new key after all
+// Each case Builds a tree from `base` (value = index), merges `updates` into
+// it the hybrid index's way (hybrid::Overlay, then Build) and checks the
+// overlay's output and the rebuilt tree against a std::map oracle.
+TEST(CompactBTreeTest, OverlayShadowAndTombstone) {
+  using Entry = MergeEntry<uint64_t, uint64_t>;
+  std::vector<uint64_t> big;  // spans several ScanPairs chunks
+  for (uint64_t k = 0; k < 10000; ++k) big.push_back(2 * k);
+  std::vector<Entry> big_updates;
+  for (uint64_t i : {0, 4094, 4095, 4096, 8189, 8190, 8191, 9999})
+    big_updates.push_back({2 * i, 7, i % 2 == 0});
+  big_updates.push_back({2 * 4095 + 1, 9, false});
+  std::sort(big_updates.begin(), big_updates.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  struct Case {
+    const char* name;
+    std::vector<uint64_t> base;
+    std::vector<Entry> updates;
   };
-  tree.MergeApply(updates);
-  EXPECT_EQ(tree.size(), 6u);
-  uint64_t v = 0;
-  EXPECT_TRUE(tree.Lookup(5, &v));
-  EXPECT_EQ(v, 100u);
-  EXPECT_TRUE(tree.Lookup(20, &v));
-  EXPECT_EQ(v, 200u);
-  EXPECT_FALSE(tree.Lookup(30));
-  EXPECT_TRUE(tree.Lookup(60, &v));
-  EXPECT_EQ(v, 300u);
+  const std::vector<Case> cases = {
+      {"shadow and tombstone",
+       {10, 20, 30, 40, 50},
+       {
+           {5, 100, false},   // new key before all
+           {20, 200, false},  // shadows existing
+           {30, 0, true},     // tombstone removes 30
+           {60, 300, false},  // new key after all
+       }},
+      {"empty base", {}, {{1, 10, false}, {2, 0, true}, {3, 30, false}}},
+      {"empty updates", {1, 2, 3}, {}},
+      {"both empty", {}, {}},
+      {"tombstone for an absent key", {10, 30}, {{20, 0, true}}},
+      {"all tombstones", {1, 2, 3}, {{1, 0, true}, {2, 0, true}, {3, 0, true}}},
+      {"chunk boundaries", big, big_updates},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::map<uint64_t, uint64_t> ref;
+    for (size_t i = 0; i < c.base.size(); ++i) ref[c.base[i]] = i;
+    for (const Entry& u : c.updates) {
+      if (u.deleted) ref.erase(u.key);
+      else ref[u.key] = u.value;
+    }
+    CompactBTree<uint64_t> tree;
+    tree.Build(MakeEntries(c.base));
+    std::vector<Entry> merged = hybrid::Overlay(tree, c.updates);
+    ASSERT_EQ(merged.size(), ref.size());
+    auto it = ref.begin();
+    for (const Entry& e : merged) {
+      EXPECT_FALSE(e.deleted);
+      EXPECT_EQ(e.key, it->first);
+      EXPECT_EQ(e.value, it->second);
+      ++it;
+    }
+    tree.Build(std::move(merged));
+    EXPECT_EQ(tree.size(), ref.size());
+    for (const auto& [k, v] : ref) {
+      uint64_t got = 0;
+      EXPECT_TRUE(tree.Lookup(k, &got));
+      EXPECT_EQ(got, v);
+    }
+    for (const Entry& u : c.updates)
+      if (u.deleted) EXPECT_FALSE(tree.Lookup(u.key));
+  }
 }
 
 TEST(CompactBTreeTest, CompactSmallerThanDynamic) {

@@ -5,6 +5,7 @@
 #include "btree/compressed_btree.h"
 #include "btree/prefix_btree.h"
 #include "common/random.h"
+#include "hybrid/merge_core.h"
 #include "keys/keygen.h"
 #include "gtest/gtest.h"
 
@@ -55,10 +56,12 @@ TEST(CompressedBTreeTest, CompressionSavesMemoryOnMonoInc) {
   EXPECT_LT(compressed.MemoryBytes(), compact.MemoryBytes());
 }
 
-TEST(CompressedBTreeTest, MergeApply) {
+TEST(CompressedBTreeTest, OverlayMerge) {
   CompressedBTree<uint64_t> t(8);
   t.Build(Entries(std::vector<uint64_t>{10, 20, 30}));
-  t.MergeApply({{15, 150, false}, {20, 0, true}, {40, 400, false}});
+  std::vector<MergeEntry<uint64_t, uint64_t>> updates = {
+      {15, 150, false}, {20, 0, true}, {40, 400, false}};
+  t.Build(hybrid::Overlay(t, std::move(updates)));
   uint64_t v = 0;
   EXPECT_TRUE(t.Lookup(15, &v));
   EXPECT_EQ(v, 150u);

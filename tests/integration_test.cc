@@ -153,7 +153,8 @@ TEST(FstPropertyTest, IteratorFullRoundTripRandomInts) {
   EXPECT_EQ(i, keys.size());
 }
 
-// CompactBTree::MergeApply behaves exactly like applying batches to a map.
+// Merging batches into a CompactBTree (hybrid::Overlay, then Build) behaves
+// exactly like applying them to a map.
 TEST(CompactBTreePropertyTest, RepeatedMergesMatchMap) {
   CompactBTree<uint64_t> tree;
   tree.Build({});
@@ -174,7 +175,7 @@ TEST(CompactBTreePropertyTest, RepeatedMergesMatchMap) {
       else
         ref[k] = e.value;
     }
-    tree.MergeApply(updates);
+    tree.Build(hybrid::Overlay(tree, std::move(updates)));
     ASSERT_EQ(tree.size(), ref.size()) << "round " << round;
   }
   for (const auto& [k, v] : ref) {

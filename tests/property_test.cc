@@ -315,6 +315,14 @@ TEST(PropertyCompressedBTree, Differential) {
   StaticDifferential<CompressedBTree<std::string>>();
 }
 
+TEST(PropertyCompactArtStage, Differential) {
+  StaticDifferential<StatCompactArtStage>();
+}
+
+TEST(PropertyCompactMasstreeStage, Differential) {
+  StaticDifferential<StatCompactMasstreeStage>();
+}
+
 // ---------------------------------------------------------------------------
 // FST: build from a key set, then random point/range probes against binary
 // search over the sorted keys. Validate() already performs the full ordered

@@ -820,6 +820,11 @@ std::vector<NamedTarget> BuildTargets(uint64_t seed) {
   targets.push_back({"compressed_btree",
                      StaticTarget([] { return CompressedBTree<std::string>(); }),
                      true});
+  targets.push_back({"compact_art_stage",
+                     StaticTarget([] { return StatCompactArtStage(); }), true});
+  targets.push_back({"compact_masstree_stage",
+                     StaticTarget([] { return StatCompactMasstreeStage(); }),
+                     true});
   targets.push_back({"fst",
                      [seed](const std::vector<std::string>& keys,
                             const std::vector<DiffOp>&) {

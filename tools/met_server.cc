@@ -1,9 +1,9 @@
 // met_server — standalone met::serve daemon (shard-per-core serving engine
 // over the concurrent hybrid index, or the durable LSM with --durable).
 //
-//   met_server [--port N] [--shards N] [--queue-cap N] [--batch-width N]
-//              [--no-coalesce] [--durable] [--dir PATH]
-//              [--delay-target-us N] [--dedup-window N] [--json PATH]
+//   met_server [--port N] [--shards N] [--queue-cap N] [--durable]
+//              [--dir PATH] [--delay-target-us N] [--dedup-window N]
+//              [--json PATH]
 //
 // --queue-cap is the per-shard admission bound in guard cost units,
 // --delay-target-us the CoDel-style standing queue-delay target, and
@@ -73,8 +73,6 @@ int main(int argc, char** argv) {
   opts.port = static_cast<uint16_t>(FlagU64(argc, argv, "--port", 7777));
   opts.num_shards = FlagU64(argc, argv, "--shards", 0);
   opts.queue_capacity = FlagU64(argc, argv, "--queue-cap", 4096);
-  opts.batch_width = FlagU64(argc, argv, "--batch-width", 16);
-  opts.coalesce_reads = !FlagBool(argc, argv, "--no-coalesce");
   opts.durable = FlagBool(argc, argv, "--durable");
   opts.dir = FlagStr(argc, argv, "--dir", "/tmp/met_serve");
   opts.delay_target_us = FlagU64(argc, argv, "--delay-target-us", 5000);
